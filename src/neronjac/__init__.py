@@ -9,6 +9,7 @@ generator for brute-force cross-checks on small graphs.
 from ._kernel import KERNEL_NAME
 from .balance import (
     BalancedSet,
+    BalancedSets,
     alpha,
     enumerate_balanced,
     is_balanced,

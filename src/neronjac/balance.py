@@ -15,7 +15,6 @@ Every comparison is done on integers after clearing denominators by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,6 +53,8 @@ def _m_of_set(g: WeightedGraph, vs, d: int) -> Fraction:
     """m for an arbitrary, possibly empty or disconnected vertex set.
 
     w is additive over connected components, so the formula applies as-is.
+    Not used by the enumeration (see _vertex_bounds); perfbench/kernelbox.py
+    builds the isolated kernel's boxes from it.
     """
     if not vs:
         return Fraction(0)
@@ -152,25 +153,47 @@ class BalancedSet:
         return len(self.strict_members)
 
 
-def enumerate_balanced(g: WeightedGraph, d: int) -> BalancedSet:
-    """All balanced multidegrees of total degree d, lexicographically
-    ordered, with the strictly balanced ones flagged.
+def _vertex_bounds(
+    g: WeightedGraph, genus: int, d: int
+) -> tuple[list[int], list[int]]:
+    """Per-vertex box of the balanced multidegrees of total degree d.
 
-    Per-vertex bounds come from the singleton subcurve below and the
-    complement above; exceptional vertices are pinned to degree 1.
+    With t_v the cleared threshold of the singleton {v} and scale =
+    2*(2g-2), the singleton gives lo_v = ceil(t_v / scale) and the
+    complement gives hi_v = floor(t_v / scale) + delta_v: on a connected
+    graph w_Z + w_{Z^c} = 2g - 2 and delta_Z = delta_{Z^c}, so
+    d - m_{Z^c}(d) = m_Z(d) + delta_Z (also for n = 1, where Z^c is empty
+    and delta = 0).  Exceptional vertices are pinned to degree 1.
     """
-    genus = _require_genus(g)
     n = g.n_vertices
-    all_vertices = frozenset(range(n))
+    loops = [0] * n
+    delta = [0] * n
+    for u, v in g.edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            delta[u] += 1
+            delta[v] += 1
+    scale = 2 * (2 * genus - 2)
     lows, highs = [], []
     for v in range(n):
-        lo = math.ceil(_m_of_set(g, {v}, d))
-        hi = d - math.ceil(_m_of_set(g, all_vertices - {v}, d))
+        w = 2 * (g.weights[v] + loops[v]) - 2 + delta[v]
+        t = _threshold(genus, d, w, delta[v])
+        lo, hi = -(-t // scale), t // scale + delta[v]
         if v in g.exceptional:
             lo, hi = max(lo, 1), min(hi, 1)
         lows.append(lo)
         highs.append(hi)
+    return lows, highs
 
+
+def enumerate_balanced(g: WeightedGraph, d: int) -> BalancedSet:
+    """All balanced multidegrees of total degree d on a connected graph,
+    lexicographically ordered, with the strictly balanced ones flagged."""
+    genus = _require_genus(g)
+    if not g.is_connected:
+        raise ValueError("balanced multidegrees are defined for connected graphs")
+    lows, highs = _vertex_bounds(g, genus, d)
     checks = _balance_checks(g)
     scale = 2 * (2 * genus - 2)
     masks = [c.mask for c in checks]
@@ -182,29 +205,67 @@ def enumerate_balanced(g: WeightedGraph, d: int) -> BalancedSet:
         md
         for md in members
         if all(
-            c.exempt
-            or scale * _mask_sum(md, c.mask) > _threshold(genus, d, c.w, c.delta)
-            for c in checks
+            c.exempt or scale * _mask_sum(md, c.mask) > t
+            for c, t in zip(checks, thresholds)
         )
     )
     return BalancedSet(degree=d, members=members, strict_members=strict)
 
 
-def is_d_general(g: WeightedGraph, d: int) -> bool:
+class BalancedSets:
+    """enumerate_balanced(h, d) for one degree d, computed once per graph h.
+
+    Meant to live for one (graph, degree) verdict: create one, pass it to
+    every call of that verdict as the `sets` keyword, and drop it when the
+    verdict ends.  It holds every balanced set it has computed, keyed by
+    graph equality, so a blow-up at the empty bridge set, or the bridge
+    contraction of a bridge-free graph, shares the set of the graph itself.
+    """
+
+    __slots__ = ("degree", "_sets")
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        self._sets: dict[WeightedGraph, BalancedSet] = {}
+
+    def __call__(self, h: WeightedGraph) -> BalancedSet:
+        bs = self._sets.get(h)
+        if bs is None:
+            bs = self._sets[h] = enumerate_balanced(h, self.degree)
+        return bs
+
+
+def _verdict_sets(d: int, sets: BalancedSets | None) -> BalancedSets:
+    """The caller's BalancedSets for degree d, or a fresh one."""
+    if sets is None:
+        return BalancedSets(d)
+    if sets.degree != d:
+        raise ValueError(f"balanced sets are for degree {sets.degree}, not {d}")
+    return sets
+
+
+def is_d_general(
+    g: WeightedGraph, d: int, *, sets: BalancedSets | None = None
+) -> bool:
     """True iff every balanced multidegree of total degree d is strictly
-    balanced."""
+    balanced.  `sets`, if given, is the BalancedSets of the (graph, degree)
+    verdict this call belongs to."""
     if not g.is_stable:
         raise ValueError("d-generality is defined for stable graphs")
-    bs = enumerate_balanced(g, d)
+    bs = _verdict_sets(d, sets)(g)
     return bs.members == bs.strict_members
 
 
-def is_weakly_d_general(g: WeightedGraph, d: int) -> bool:
-    """True iff the bridge contraction of g is d-general."""
+def is_weakly_d_general(
+    g: WeightedGraph, d: int, *, sets: BalancedSets | None = None
+) -> bool:
+    """True iff the bridge contraction of g is d-general.  `sets`, if
+    given, is the BalancedSets of the (graph, degree) verdict this call
+    belongs to."""
     if not g.is_stable:
         raise ValueError("weak d-generality is defined for stable graphs")
     contracted, _ = contract_separating(g)
-    return is_d_general(contracted, d)
+    return is_d_general(contracted, d, sets=sets)
 
 
 def alpha(g: WeightedGraph, multidegree) -> tuple[int, ...]:

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit status: 0 on success, 1 on invalid input, 2 when a theorem-level
-cross-check fails (route disagreement or extremal-pair uniqueness
-violation).  All commands are deterministic; identical invocations produce
-byte-identical output.
+Exit status: 0 on success, 1 on invalid input (usage errors included), 2
+when a theorem-level cross-check fails (route disagreement or extremal-pair
+uniqueness violation).  All commands are deterministic; identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -148,8 +148,9 @@ def cmd_analyze(args, out):
     cg = classgroup.class_group(g)
     records = []
     for d in parse_degrees(args.degree):
-        bs = balance.enumerate_balanced(g, d)
-        verdict = neron.is_neron_type(g, d, route="all")
+        sets = balance.BalancedSets(d)  # shared by this verdict only
+        bs = sets(g)
+        verdict = neron.is_neron_type(g, d, route="all", sets=sets)
         records.append(
             {
                 "graph": graphs.graph_id(g),
@@ -159,8 +160,8 @@ def cmd_analyze(args, out):
                 "invariant_factors": cg.invariant_factors,
                 "n_balanced": bs.size,
                 "n_strict": bs.strict_size,
-                "d_general": balance.is_d_general(g, d),
-                "weakly_d_general": balance.is_weakly_d_general(g, d),
+                "d_general": balance.is_d_general(g, d, sets=sets),
+                "weakly_d_general": verdict.routes["weakly_general"],
                 "component_count": verdict.component_count,
                 "neron": verdict.verdict,
                 "tree_like": graphs.is_tree_like(g),
@@ -199,8 +200,9 @@ def census_rows(genus, max_vertices, degrees):
         cg_order = classgroup.class_group(g).order
         tree = graphs.is_tree_like(g)
         for d in degrees:
-            bs = balance.enumerate_balanced(g, d)
-            verdict = neron.is_neron_type(g, d, route="all")
+            sets = balance.BalancedSets(d)  # shared by this verdict only
+            bs = sets(g)
+            verdict = neron.is_neron_type(g, d, route="all", sets=sets)
             rows.append(
                 {
                     "graph": gid,
@@ -215,8 +217,8 @@ def census_rows(genus, max_vertices, degrees):
                     "neron_criterion": verdict.routes["criterion"],
                     "neron_weakly_general": verdict.routes["weakly_general"],
                     "tree_like": tree,
-                    "d_general": bs.members == bs.strict_members,
-                    "weakly_d_general": balance.is_weakly_d_general(g, d),
+                    "d_general": balance.is_d_general(g, d, sets=sets),
+                    "weakly_d_general": verdict.routes["weakly_general"],
                 }
             )
     return rows
@@ -336,8 +338,21 @@ def cmd_audit(args, out):
 # -- argument parsing ---------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A command line that does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints usage and exits 2 on a bad command line; 2 is kept
+    # for theorem-check failures, so raise and let run() answer with exit 1
+    def error(self, message):
+        if message.startswith("argument --degree: expected one argument"):
+            message += " (write a negative degree as --degree=-6..12)"
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="neronjac",
         description="Neron-type verdicts for compactified Jacobians of stable weighted graphs",
     )
@@ -349,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
         if degree:
             p.add_argument(
                 "--degree", action="append", required=True,
-                help="integer or inclusive range a..b; repeatable",
+                help="integer or inclusive range a..b; repeatable; "
+                "write one that starts with a minus sign as --degree=-6..12",
             )
         if genus:
             p.add_argument("--genus", type=int, required=True)
@@ -406,7 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.seed is not None:
         print(
             "error: --seed is reserved; all computations are deterministic",

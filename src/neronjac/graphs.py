@@ -106,6 +106,29 @@ class WeightedGraph:
             out.append(frozenset(comp))
         return tuple(out)
 
+    @cached_property
+    def bridges(self) -> tuple[int, ...]:
+        """Ascending indices of the edges whose removal separates their
+        endpoints.  A tuple rather than a frozenset: every graph a census
+        holds keeps it, and an empty tuple costs nothing.
+
+        Only a non-loop edge with no parallel twin can be one; it is a
+        bridge when its far end is unreachable once it is removed.
+        """
+        multiplicity: dict[tuple[int, int], int] = {}
+        for e in self.edges:
+            multiplicity[e] = multiplicity.get(e, 0) + 1
+        out = []
+        for i, (u, v) in enumerate(self.edges):
+            if u == v or multiplicity[(u, v)] > 1:
+                continue
+            adj = list(self.adjacency_masks)
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+            if not _reach(adj, u) >> v & 1:
+                out.append(i)
+        return tuple(out)
+
     @property
     def is_connected(self) -> bool:
         return len(self.components) == 1
@@ -214,20 +237,25 @@ def subcurve_stats(g: WeightedGraph, vertex_set) -> Subcurve:
     return Subcurve(vertices=zs, g=gz, delta=delta, w=2 * gz - 2 + delta)
 
 
-def _mask_connected(g: WeightedGraph, mask: int) -> bool:
-    start = (mask & -mask).bit_length() - 1
+def _reach(adj, start: int, within: int = -1) -> int:
+    """Bitmask of the vertices reachable from start inside the vertex mask
+    `within` (all vertices by default), given per-vertex neighbour masks."""
     seen = 1 << start
     stack = [start]
-    adj = g.adjacency_masks
     while stack:
         x = stack.pop()
-        fresh = adj[x] & mask & ~seen
+        fresh = adj[x] & within & ~seen
         while fresh:
             b = fresh & -fresh
             fresh ^= b
             seen |= b
             stack.append(b.bit_length() - 1)
-    return seen == mask
+    return seen
+
+
+def _mask_connected(g: WeightedGraph, mask: int) -> bool:
+    start = (mask & -mask).bit_length() - 1
+    return _reach(g.adjacency_masks, start, mask) == mask
 
 
 def connected_subset_masks(g: WeightedGraph, proper: bool = True) -> list[int]:
@@ -260,14 +288,7 @@ def separating_edges(g: WeightedGraph) -> frozenset[int]:
     """Indices of bridge edges (removal disconnects the graph)."""
     if not g.is_connected:
         raise ValueError("graph must be connected")
-    bridges = set()
-    for i, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue
-        rest = g.edges[:i] + g.edges[i + 1 :]
-        if not WeightedGraph(g.weights, rest, g.exceptional).is_connected:
-            bridges.add(i)
-    return frozenset(bridges)
+    return frozenset(g.bridges)
 
 
 def is_tree_like(g: WeightedGraph) -> bool:
@@ -319,7 +340,8 @@ def blow_up(g: WeightedGraph, edge_subset) -> WeightedGraph:
             raise ValueError(f"edge index {i} is not an edge of the graph")
     n = g.n_vertices
     weights = list(g.weights)
-    edges = [e for i, e in enumerate(g.edges) if i not in set(subset)]
+    chosen = set(subset)
+    edges = [e for i, e in enumerate(g.edges) if i not in chosen]
     exceptional = set(g.exceptional)
     for k, i in enumerate(subset):
         u, v = g.edges[i]
@@ -329,14 +351,6 @@ def blow_up(g: WeightedGraph, edge_subset) -> WeightedGraph:
         edges.append((u, e))
         edges.append((v, e))
     return WeightedGraph(tuple(weights), tuple(edges), frozenset(exceptional))
-
-
-def blow_up_exceptional_neighbors(g: WeightedGraph, base: WeightedGraph, edge_subset):
-    """Map each exceptional vertex of blow_up(base, edge_subset) to the
-    endpoints (u, v) of the base edge it subdivides."""
-    subset = sorted(set(edge_subset))
-    n = base.n_vertices
-    return {n + k: base.edges[i] for k, i in enumerate(subset)}
 
 
 # -- isomorphism and canonical forms ---------------------------------------
@@ -517,9 +531,3 @@ def load_graph(path) -> WeightedGraph:
         return graph_from_dict(data)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
-
-
-def dump_graph(g: WeightedGraph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -15,10 +15,12 @@ import itertools
 from dataclasses import dataclass
 
 from .balance import (
+    BalancedSets,
     _balance_checks,
     _mask_sum,
     _require_genus,
     _threshold,
+    _verdict_sets,
     enumerate_balanced,
     is_balanced,
     is_weakly_d_general,
@@ -27,7 +29,6 @@ from .classgroup import class_group
 from .graphs import (
     WeightedGraph,
     blow_up,
-    blow_up_exceptional_neighbors,
     is_tree_like,
     separating_edges,
 )
@@ -148,40 +149,49 @@ class Stratum:
     multidegree: tuple[int, ...]  # strictly balanced on the blow-up
 
 
-def strata_index(g: WeightedGraph, d: int) -> list[Stratum]:
+def strata_index(
+    g: WeightedGraph, d: int, *, sets: BalancedSets | None = None
+) -> list[Stratum]:
     """All pairs (S, d) with S a subset of bridges and d strictly balanced
-    on blow_up(g, S); ordered by (len(S), S, multidegree)."""
+    on blow_up(g, S); ordered by (len(S), S, multidegree).  `sets`, if
+    given, is the BalancedSets of the (graph, degree) verdict this call
+    belongs to."""
     if not g.is_stable:
         raise ValueError("strata are defined for stable graphs")
+    sets = _verdict_sets(d, sets)
     bridges = sorted(separating_edges(g))
     out = []
     for size in range(len(bridges) + 1):
         for subset in itertools.combinations(bridges, size):
             hat = blow_up(g, subset)
-            for md in enumerate_balanced(hat, d).strict_members:
+            for md in sets(hat).strict_members:
                 out.append(Stratum(edges=subset, multidegree=md))
     return out
 
 
-def component_count(g: WeightedGraph, d: int) -> int:
-    return len(strata_index(g, d))
+def component_count(
+    g: WeightedGraph, d: int, *, sets: BalancedSets | None = None
+) -> int:
+    """Number of strata (S, d); `sets` as for strata_index."""
+    return len(strata_index(g, d, sets=sets))
 
 
 ROUTES = ("count", "criterion", "weakly_general")
 
 
-def _route_count(g: WeightedGraph, d: int) -> bool:
-    return component_count(g, d) == class_group(g).order
+def _route_count(count: int, order: int) -> bool:
+    # the strata count against the order of the degree class group
+    return count == order
 
 
-def _route_criterion(g: WeightedGraph, d: int) -> bool:
+def _route_criterion(g: WeightedGraph, d: int, sets: BalancedSets) -> bool:
     # every equality subcurve of every balanced multidegree must have its
     # boundary inside the bridge set
     genus = g.genus
     scale = 2 * (2 * genus - 2)
     bridges = separating_edges(g)
     checks = _balance_checks(g)
-    for md in enumerate_balanced(g, d).members:
+    for md in sets(g).members:
         for c in checks:
             if scale * _mask_sum(md, c.mask) == _threshold(genus, d, c.w, c.delta):
                 vs = frozenset(v for v in range(g.n_vertices) if c.mask >> v & 1)
@@ -190,8 +200,8 @@ def _route_criterion(g: WeightedGraph, d: int) -> bool:
     return True
 
 
-def _route_weakly_general(g: WeightedGraph, d: int) -> bool:
-    return is_weakly_d_general(g, d)
+def _route_weakly_general(g: WeightedGraph, d: int, sets: BalancedSets) -> bool:
+    return is_weakly_d_general(g, d, sets=sets)
 
 
 @dataclass(frozen=True)
@@ -202,36 +212,46 @@ class NeronVerdict:
     class_group_order: int
 
 
-def is_neron_type(g: WeightedGraph, d: int, route: str = "all") -> NeronVerdict:
+def is_neron_type(
+    g: WeightedGraph,
+    d: int,
+    route: str = "all",
+    *,
+    sets: BalancedSets | None = None,
+) -> NeronVerdict:
     """Decide whether the degree-d compactified Jacobian is of Neron type.
 
     route selects one of 'count', 'criterion', 'weakly_general', or 'all';
     with 'all' the three independent computations must agree, and a
-    disagreement raises RouteDisagreement.
+    disagreement raises RouteDisagreement.  `sets`, if given, is the
+    BalancedSets of this (graph, degree) verdict; without it the verdict
+    makes its own, which is dropped when the verdict returns.
     """
     _require_genus(g)
     if not g.is_stable:
         raise ValueError("Neron-type verdicts are defined for stable graphs")
     if route != "all" and route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    impls = {
-        "count": _route_count,
-        "criterion": _route_criterion,
-        "weakly_general": _route_weakly_general,
-    }
+    sets = _verdict_sets(d, sets)
     selected = ROUTES if route == "all" else (route,)
-    results = {name: impls[name](g, d) for name in selected}
+    order = class_group(g).order
+    count = component_count(g, d, sets=sets) if "count" in selected else None
+    impls = {
+        "count": lambda: _route_count(count, order),
+        "criterion": lambda: _route_criterion(g, d, sets),
+        "weakly_general": lambda: _route_weakly_general(g, d, sets),
+    }
+    results = {name: impls[name]() for name in selected}
     values = set(results.values())
     if len(values) > 1:
         raise RouteDisagreement(
             f"routes disagree for d={d} on graph {g!r}: {results}"
         )
-    count = component_count(g, d) if "count" in results else None
     return NeronVerdict(
         verdict=values.pop(),
         routes=results,
         component_count=count,
-        class_group_order=class_group(g).order,
+        class_group_order=order,
     )
 
 

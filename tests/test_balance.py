@@ -1,9 +1,11 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from neronjac import (
+    BalancedSets,
     WeightedGraph,
     alpha,
     blow_up,
@@ -14,7 +16,9 @@ from neronjac import (
     is_strictly_balanced,
     is_weakly_d_general,
     m_lower_bound,
+    separating_edges,
 )
+from neronjac.balance import _vertex_bounds
 from oracles import brute_force_balanced
 
 
@@ -138,6 +142,80 @@ class TestEnumerateBalanced:
                     bs = enumerate_balanced(hat, d)
                     assert sorted(bs.members) == sorted(want_b)
                     assert sorted(bs.strict_members) == sorted(want_s)
+
+
+def _bound_cases():
+    """Census graphs, their blow-ups at every bridge and at every edge, and
+    one-vertex graphs."""
+    for genus in (2, 3):
+        for g in census(genus, 3):
+            yield g
+            yield blow_up(g, separating_edges(g))
+            yield blow_up(g, range(g.n_edges))
+    yield WeightedGraph((2,), ())
+    yield WeightedGraph((1,), ((0, 0),))
+    yield WeightedGraph((0,), ((0, 0), (0, 0), (0, 0)))
+
+
+class TestVertexBounds:
+    def test_integer_bounds_match_fraction_bounds(self):
+        # lo_v = ceil(m_{v}(d)) from the singleton, hi_v = d - ceil(m_{V-v}(d))
+        # from the complement (m of the empty set is 0); exceptional
+        # vertices are pinned to 1
+        for g in _bound_cases():
+            everything = frozenset(range(g.n_vertices))
+            for d in range(-7, 12):
+                lows, highs = _vertex_bounds(g, g.genus, d)
+                for v in range(g.n_vertices):
+                    rest = everything - {v}
+                    lo = math.ceil(m_lower_bound(g, {v}, d))
+                    hi = d - (math.ceil(m_lower_bound(g, rest, d)) if rest else 0)
+                    if v in g.exceptional:
+                        lo, hi = max(lo, 1), min(hi, 1)
+                    assert (lows[v], highs[v]) == (lo, hi), (g, v, d)
+
+    def test_disconnected_rejected(self):
+        g = WeightedGraph((1, 1), ())
+        with pytest.raises(ValueError, match="connected"):
+            enumerate_balanced(g, 1)
+
+
+class TestBalancedSets:
+    def test_same_as_enumerate_balanced(self, theta_pendant):
+        sets = BalancedSets(2)
+        assert sets(theta_pendant) == enumerate_balanced(theta_pendant, 2)
+
+    def test_computes_each_graph_once(self, theta, monkeypatch):
+        from neronjac import balance
+
+        calls = []
+        real = balance.enumerate_balanced
+
+        def counted(h, d):
+            calls.append(h)
+            return real(h, d)
+
+        monkeypatch.setattr(balance, "enumerate_balanced", counted)
+        sets = BalancedSets(1)
+        first = sets(theta)
+        # an equal graph built separately shares the entry
+        assert sets(blow_up(theta, ())) is first
+        sets(blow_up(theta, (0,)))
+        assert calls == [theta, blow_up(theta, (0,))]
+
+    def test_degree_mismatch_rejected(self, theta):
+        with pytest.raises(ValueError, match="degree"):
+            is_d_general(theta, 1, sets=BalancedSets(2))
+
+    def test_shared_sets_give_same_answers(self, theta_pendant):
+        for d in range(-3, 6):
+            sets = BalancedSets(d)
+            assert is_d_general(theta_pendant, d, sets=sets) == is_d_general(
+                theta_pendant, d
+            )
+            assert is_weakly_d_general(
+                theta_pendant, d, sets=sets
+            ) == is_weakly_d_general(theta_pendant, d)
 
 
 class TestGenerality:

@@ -235,3 +235,52 @@ class TestContract:
         )
         assert proc.returncode == 0
         assert "genus" in proc.stdout
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 1 with one line on stderr; 2
+    stays reserved for theorem-check failures."""
+
+    def _stderr_of(self, argv, capsys):
+        code, out = invoke(argv)
+        err = capsys.readouterr().err
+        assert out == ""
+        return code, err
+
+    def test_negative_degree_range_without_equals(self, capsys):
+        code, err = self._stderr_of(
+            ["census", "--genus", "3", "--degree", "-6..12"], capsys
+        )
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "--degree=-6..12" in err
+
+    def test_bad_route(self, theta_file, capsys):
+        code, err = self._stderr_of(
+            ["neron", "--route", "bogus", "--degree", "1", theta_file], capsys
+        )
+        assert code == 1
+        assert err.count("\n") == 1 and "bogus" in err
+
+    def test_missing_command(self, capsys):
+        code, err = self._stderr_of([], capsys)
+        assert code == 1
+        assert err.count("\n") == 1
+
+    def test_negative_degree_range_with_equals(self):
+        code, out = invoke(
+            ["census", "--genus", "2", "--max-vertices", "1",
+             "--degree=-2..0", "--format", "json-lines"]
+        )
+        assert code == 0
+        assert {r["degree"] for r in json_lines(out)} == {-2, -1, 0}
+
+    def test_entry_point_exit_status(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "neronjac.cli", "census", "--genus", "3",
+             "--degree", "-6..12"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1

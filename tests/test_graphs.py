@@ -20,7 +20,7 @@ from neronjac import (
     subcurve_stats,
     validate,
 )
-from neronjac.graphs import blow_up_exceptional_neighbors, graph_id
+from neronjac.graphs import graph_id
 
 
 class TestValidate:
@@ -110,6 +110,48 @@ class TestSeparatingEdges:
         g = WeightedGraph((1, 1), ((0, 1), (0, 1)))
         assert separating_edges(g) == frozenset()
 
+    @staticmethod
+    def _remove_and_test(g):
+        # reference definition: a non-loop edge is a bridge when the graph
+        # without it is disconnected
+        out = set()
+        for i, (u, v) in enumerate(g.edges):
+            if u == v:
+                continue
+            rest = g.edges[:i] + g.edges[i + 1 :]
+            if not WeightedGraph(g.weights, rest, g.exceptional).is_connected:
+                out.add(i)
+        return frozenset(out)
+
+    @pytest.mark.parametrize("genus,mv", [(2, 3), (3, 4)])
+    def test_matches_edge_removal_on_census_and_blow_ups(self, genus, mv):
+        for g in census(genus, mv):
+            hats = [blow_up(g, separating_edges(g)), blow_up(g, range(g.n_edges))]
+            for h in [g] + hats:
+                assert separating_edges(h) == self._remove_and_test(h)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # parallel pair between two blocks, plus a pendant bridge
+            WeightedGraph((1, 0, 1, 1), ((0, 1), (1, 2), (1, 2), (2, 3))),
+            # loops at both ends of a bridge
+            WeightedGraph((0, 0), ((0, 0), (0, 1), (1, 1))),
+            # a triangle with a pendant path and a doubled edge inside it
+            WeightedGraph((0, 0, 0, 1, 1), ((0, 1), (0, 1), (1, 2), (0, 2), (2, 3), (3, 4))),
+            # one vertex with loops only
+            WeightedGraph((0,), ((0, 0), (0, 0))),
+        ],
+    )
+    def test_matches_edge_removal_on_handmade(self, g):
+        assert separating_edges(g) == self._remove_and_test(g)
+        for h in (blow_up(g, range(g.n_edges)), blow_up(g, (0,))):
+            assert separating_edges(h) == self._remove_and_test(h)
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValueError):
+            separating_edges(WeightedGraph((1, 1), ()))
+
 
 class TestContractSeparating:
     def test_tree_like_collapses_to_point(self, path3):
@@ -174,7 +216,11 @@ class TestBlowUp:
                 assert len(hat.exceptional) == len(subset)
                 assert hat.is_quasistable
                 # un-contracting the exceptional paths recovers g
-                neighbors = blow_up_exceptional_neighbors(hat, g, subset)
+                # exceptional vertex n + k subdivides the k-th edge of subset
+                neighbors = {
+                    g.n_vertices + k: g.edges[i]
+                    for k, i in enumerate(sorted(subset))
+                }
                 rebuilt_edges = [
                     e
                     for i, e in enumerate(g.edges)

@@ -1,14 +1,19 @@
+import itertools
+
 import pytest
 
 from neronjac import (
+    BalancedSets,
     RouteDisagreement,
     Stratum,
     UniquenessError,
     WeightedGraph,
     census,
+    blow_up,
     check_g_minus_1,
     class_group,
     component_count,
+    contract_separating,
     enumerate_balanced,
     extremal_pair,
     is_d_general,
@@ -16,6 +21,7 @@ from neronjac import (
     is_tree_like,
     push_down,
     s_of_mu,
+    separating_edges,
     strata_index,
 )
 
@@ -199,3 +205,68 @@ class TestGMinusOne:
         for g in census(genus, mv):
             verdict, tree = check_g_minus_1(g)
             assert verdict == tree == is_tree_like(g)
+
+
+class TestSharedEnumeration:
+    @staticmethod
+    def _touched(g):
+        # the graphs one verdict needs balanced sets of: the blow-ups at
+        # every bridge subset (the empty one is g) and the bridge contraction
+        bridges = sorted(separating_edges(g))
+        out = {contract_separating(g)[0]}
+        for size in range(len(bridges) + 1):
+            for subset in itertools.combinations(bridges, size):
+                out.add(blow_up(g, subset))
+        return out
+
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_one_enumeration_per_distinct_graph(self, genus, monkeypatch):
+        from neronjac import balance
+
+        calls = []
+        real = balance.enumerate_balanced
+
+        def counted(h, d):
+            calls.append((h, d))
+            return real(h, d)
+
+        monkeypatch.setattr(balance, "enumerate_balanced", counted)
+        for g in census(genus, 4):
+            touched = self._touched(g)
+            for d in range(-genus, 2 * genus + 1):
+                calls.clear()
+                is_neron_type(g, d)
+                assert len(calls) == len(touched)
+                assert {h for h, _ in calls} == touched
+                assert {e for _, e in calls} == {d}
+
+    def test_caller_sets_are_used(self, theta_pendant, monkeypatch):
+        from neronjac import balance
+
+        want = is_neron_type(theta_pendant, 2)
+        sets = BalancedSets(2)
+        for h in self._touched(theta_pendant):
+            sets(h)
+        monkeypatch.setattr(
+            balance, "enumerate_balanced", lambda h, d: pytest.fail("recomputed")
+        )
+        assert is_neron_type(theta_pendant, 2, sets=sets) == want
+
+    def test_component_count_once_per_verdict(self, theta_pendant, monkeypatch):
+        from neronjac import neron
+
+        calls = []
+        real = neron.strata_index
+
+        def counted(g, d, **kwargs):
+            calls.append(d)
+            return real(g, d, **kwargs)
+
+        monkeypatch.setattr(neron, "strata_index", counted)
+        v = is_neron_type(theta_pendant, 2)
+        assert calls == [2]
+        assert v.component_count == component_count(theta_pendant, 2)
+
+    def test_degree_mismatch_rejected(self, theta):
+        with pytest.raises(ValueError, match="degree"):
+            is_neron_type(theta, 0, sets=BalancedSets(1))

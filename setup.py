@@ -1,29 +1,14 @@
 """Build script: compiles the enumeration kernel extension.
 
-With Cython available the extension is built from `_speedups.pyx`;
-without it, from the shipped generated `_speedups.c`.  The package works
-without the extension (pure-Python fallback selected at import time), so
-the extension is optional and a failed compile only costs speed.
+The package works without the extension (pure-Python fallback selected at
+import time), so the extension is optional and a failed compile only costs
+speed.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        "src/neronjac/_speedups.pyx",
-        language_level=3,
-    )
-    for ext in ext_modules:
-        ext.optional = True
-except ImportError:
-    ext_modules = [
-        Extension(
-            "neronjac._speedups",
-            ["src/neronjac/_speedups.c"],
-            optional=True,
-        )
+setup(
+    ext_modules=[
+        Extension("neronjac._speedups", ["src/neronjac/_speedups.c"], optional=True)
     ]
-
-setup(ext_modules=ext_modules)
+)

@@ -1,19 +1,20 @@
 """Kernel selection: compiled extension if built, pure Python otherwise.
 
-Set NERONJAC_PURE=1 to force the fallback (used by the benchmark and by
-tests that compare the two implementations).
+Set NERONJAC_PURE=1 to force the fallback even where the extension is
+built.  Tests that compare the two kernels load them directly instead.
 
-The compiled kernel works on 1 to MAX_N = 62 coordinates in signed 64-bit
-arithmetic, while the pure kernel is exact for all integers.  When the
-compiled kernel is selected, every call is range-checked and handed to the
-pure kernel unless it fits: 1 to MAX_N coordinates, every mask within them,
-every threshold in [-2**63, 2**63), and
+The compiled kernel works on at most MAX_N = 62 coordinates in signed
+64-bit arithmetic, while the pure kernel is exact for all integers.  When
+the compiled kernel is selected, every call is range-checked and handed to
+the pure kernel unless it fits: at most MAX_N coordinates, every threshold
+in [-2**63, 2**63), and
 
     max(|scale|, 1) * (|total| + 1 + sum_v max(|lows[v]|, |highs[v]|)) < 2**63,
 
 which bounds every bound, partial sum and scaled constraint sum the compiled
-search forms.  Both kernels therefore give the same answer for every input.
-The pure path carries no check.
+search forms.  Both kernels check every other argument themselves, with the
+same ValueErrors, so they give the same answer for every input.  The pure
+path carries no check.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ else:
 def fits_compiled(lows, highs, total, masks, thresholds, scale) -> bool:
     """True iff the compiled kernel computes this call without overflow."""
     n = len(lows)
-    if not 0 < n <= MAX_N or any(m <= 0 or m >> n for m in masks):
+    if n > MAX_N:
         return False
     if any(t < INT64_MIN or t > INT64_MAX for t in thresholds):
         return False

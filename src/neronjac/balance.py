@@ -30,9 +30,13 @@ from .graphs import (
 
 
 def _require_genus(g: WeightedGraph) -> int:
+    """The genus of g, which must be at least 2 and connected: m_Z(d) and
+    the per-vertex bounds use 2g - 2 of the whole curve."""
     genus = g.genus
     if genus < 2:
         raise ValueError(f"genus must be at least 2, got {genus}")
+    if not g.is_connected:
+        raise ValueError("balanced multidegrees are defined for connected graphs")
     return genus
 
 
@@ -191,8 +195,6 @@ def enumerate_balanced(g: WeightedGraph, d: int) -> BalancedSet:
     """All balanced multidegrees of total degree d on a connected graph,
     lexicographically ordered, with the strictly balanced ones flagged."""
     genus = _require_genus(g)
-    if not g.is_connected:
-        raise ValueError("balanced multidegrees are defined for connected graphs")
     lows, highs = _vertex_bounds(g, genus, d)
     checks = _balance_checks(g)
     scale = 2 * (2 * genus - 2)

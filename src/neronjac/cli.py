@@ -254,27 +254,21 @@ def cmd_census(args, out):
 def cmd_vine_scan(args, out):
     records = []
     for d in parse_degrees(args.degree):
-        for g1 in range(args.genus + 1):
-            for g2 in range(g1, args.genus + 1):
-                delta = args.genus - g1 - g2 + 1
-                if delta < max(1, args.min_delta):
-                    continue
-                if (g1 == 0 or g2 == 0) and delta < 3:
-                    continue
-                g = locus.vine(g1, g2, delta)
-                bs = balance.enumerate_balanced(g, d)
-                records.append(
-                    {
-                        "g1": g1,
-                        "g2": g2,
-                        "delta": delta,
-                        "degree": d,
-                        "n_balanced": bs.size,
-                        "n_strict": bs.strict_size,
-                        "class_group_order": classgroup.class_group(g).order,
-                        "d_special": bs.members != bs.strict_members,
-                    }
-                )
+        for v in locus.stable_vines(args.genus, args.min_delta):
+            g = locus.vine(v.g1, v.g2, v.delta)
+            bs = balance.enumerate_balanced(g, d)
+            records.append(
+                {
+                    "g1": v.g1,
+                    "g2": v.g2,
+                    "delta": v.delta,
+                    "degree": d,
+                    "n_balanced": bs.size,
+                    "n_strict": bs.strict_size,
+                    "class_group_order": classgroup.class_group(g).order,
+                    "d_special": bs.members != bs.strict_members,
+                }
+            )
     emit(
         records,
         ["g1", "g2", "delta", "degree", "n_balanced", "n_strict",

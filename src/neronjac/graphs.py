@@ -175,10 +175,6 @@ class WeightedGraph:
 
     # -- convenience -------------------------------------------------------
 
-    def edge_indices_between(self, u: int, v: int) -> list[int]:
-        key = _normalize_edge((u, v))
-        return [i for i, e in enumerate(self.edges) if e == key]
-
     def boundary_edges(self, vertex_set) -> frozenset[int]:
         """Indices of edges with exactly one endpoint in vertex_set."""
         zs = set(vertex_set)

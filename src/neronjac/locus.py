@@ -52,12 +52,9 @@ def is_d_special(g: WeightedGraph, d: int) -> bool:
     return not is_d_general(g, d)
 
 
-def d_special_vine_scan(genus: int, d: int, min_delta: int = 1) -> list[VineCurve]:
-    """All stable vine parameter triples of the given genus, with at least
-    min_delta nodes, whose graph is d-special; ordered by (g1, g2)."""
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
-    out = []
+def stable_vines(genus: int, min_delta: int = 1):
+    """The parameter triples of every stable vine curve of the given genus
+    with at least min_delta nodes, ordered by (g1, g2)."""
     for g1 in range(genus + 1):
         for g2 in range(g1, genus + 1):
             delta = genus - g1 - g2 + 1
@@ -65,9 +62,19 @@ def d_special_vine_scan(genus: int, d: int, min_delta: int = 1) -> list[VineCurv
                 continue
             if (g1 == 0 or g2 == 0) and delta < 3:
                 continue
-            if is_d_special(vine(g1, g2, delta), d):
-                out.append(VineCurve(g1, g2, delta))
-    return out
+            yield VineCurve(g1, g2, delta)
+
+
+def d_special_vine_scan(genus: int, d: int, min_delta: int = 1) -> list[VineCurve]:
+    """All stable vine parameter triples of the given genus, with at least
+    min_delta nodes, whose graph is d-special; ordered by (g1, g2)."""
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
+    return [
+        v
+        for v in stable_vines(genus, min_delta)
+        if is_d_special(vine(v.g1, v.g2, v.delta), d)
+    ]
 
 
 @dataclass(frozen=True)

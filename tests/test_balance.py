@@ -179,6 +179,22 @@ class TestVertexBounds:
         with pytest.raises(ValueError, match="connected"):
             enumerate_balanced(g, 1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: is_balanced(g, (0, 1)),
+            lambda g: is_strictly_balanced(g, (0, 1)),
+            lambda g: m_lower_bound(g, {0}, 1),
+            lambda g: alpha(g, (0, 1)),
+        ],
+        ids=["is_balanced", "is_strictly_balanced", "m_lower_bound", "alpha"],
+    )
+    def test_disconnected_rejected_everywhere(self, call):
+        # 2g - 2 of two isolated weight-1 vertices bounds neither of them
+        g = WeightedGraph((1, 1), ())
+        with pytest.raises(ValueError, match="connected graphs"):
+            call(g)
+
 
 class TestBalancedSets:
     def test_same_as_enumerate_balanced(self, theta_pendant):

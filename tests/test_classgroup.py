@@ -1,6 +1,9 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neronjac import (
     WeightedGraph,
@@ -61,6 +64,68 @@ class TestSmithNormalForm:
     def test_known_invariant_factors(self):
         diag, _, _ = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
         assert diag == [2, 6, 12]
+
+
+def _det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _invariant_factors(m):
+    """s_k = D_k / D_(k-1), with D_k the gcd of all k x k minors (D_0 = 1)
+    and s_k = 0 once D_k = 0."""
+    n = len(m)
+    divisors = [1]
+    for k in range(1, n + 1):
+        dk = 0
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(n), k):
+                dk = math.gcd(dk, _det([[m[i][j] for j in cols] for i in rows]))
+        divisors.append(dk)
+    return [
+        divisors[k] // divisors[k - 1] if divisors[k] else 0 for k in range(1, n + 1)
+    ]
+
+
+square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+class TestSmithNormalFormProperties:
+    @given(square_matrices)
+    @settings(max_examples=300, deadline=None)
+    def test_divisibility_chain_zeros_last(self, matrix):
+        diag, _, _ = smith_normal_form(matrix)
+        assert len(diag) == len(matrix)
+        nonzero = [d for d in diag if d != 0]
+        assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+        for a, b in zip(diag, diag[1:]):
+            assert b % a == 0 if a else b == 0
+
+    @given(square_matrices)
+    @settings(max_examples=300, deadline=None)
+    def test_row_transforms_inverse(self, matrix):
+        n = len(matrix)
+        _, u, uinv = smith_normal_form(matrix)
+        prod = [
+            [sum(u[i][k] * uinv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+
+    @given(square_matrices)
+    @settings(max_examples=300, deadline=None)
+    def test_diagonal_is_determinantal_invariant_factors(self, matrix):
+        diag, _, _ = smith_normal_form(matrix)
+        assert diag == _invariant_factors(matrix)
 
 
 class TestClassGroup:

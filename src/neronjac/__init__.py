@@ -12,6 +12,7 @@ from .balance import (
     BalancedSets,
     alpha,
     enumerate_balanced,
+    equality_subcurves,
     is_balanced,
     is_d_general,
     is_strictly_balanced,

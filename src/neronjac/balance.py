@@ -5,12 +5,14 @@ balanced when every connected proper subcurve Z satisfies
 
     deg_Z >= m_Z(d) = d * w_Z / (2g - 2) - delta_Z / 2
 
-and every exceptional vertex carries degree exactly 1.  Strictly balanced
-additionally requires strict inequality for every Z whose boundary nodes do
-not all lie on exceptional components.
+and every exceptional vertex carries degree exactly 1.  The equality
+subcurves of a balanced multidegree are the connected proper subcurves Z on
+which it meets its bound, deg_Z = m_Z(d).  Z is exempt when its boundary
+nodes all lie on exceptional components.  A balanced multidegree is
+strictly balanced when it has no non-exempt equality subcurve.
 
 Every comparison is done on integers after clearing denominators by
-2*(2g-2); the public bound m_Z(d) is an exact Fraction.
+2*(2g-2), in _SubcurveBounds; the public bound m_Z(d) is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -73,11 +75,15 @@ class _SubsetCheck:
     exempt: bool  # boundary entirely on exceptional components
 
 
+def _mask_vertices(mask: int) -> frozenset[int]:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 @lru_cache(maxsize=None)
 def _balance_checks(g: WeightedGraph) -> tuple[_SubsetCheck, ...]:
     checks = []
     for mask in connected_subset_masks(g, proper=True):
-        vs = frozenset(v for v in range(g.n_vertices) if mask >> v & 1)
+        vs = _mask_vertices(mask)
         stats = subcurve_stats(g, vs)
         exempt = all(
             g.edges[i][0] in g.exceptional or g.edges[i][1] in g.exceptional
@@ -112,31 +118,60 @@ def _mask_sum(md, mask: int) -> int:
     return acc
 
 
+class _SubcurveBounds:
+    """The cleared bounds of every connected proper subcurve of g at total
+    degree d, built once and shared by every multidegree of that degree:
+    scale * deg_Z >= threshold  <=>  deg_Z >= m_Z(d), scale = 2*(2g-2)."""
+
+    __slots__ = ("checks", "thresholds", "scale")
+
+    def __init__(self, g: WeightedGraph, genus: int, d: int):
+        self.checks = _balance_checks(g)
+        self.thresholds = [_threshold(genus, d, c.w, c.delta) for c in self.checks]
+        self.scale = 2 * (2 * genus - 2)
+
+    def equalities(self, md):
+        """The checks of the equality subcurves of md, in mask order."""
+        scale = self.scale
+        return (
+            c
+            for c, t in zip(self.checks, self.thresholds)
+            if scale * _mask_sum(md, c.mask) == t
+        )
+
+    def strict(self, md) -> bool:
+        """For a balanced md: every equality subcurve is exempt."""
+        return all(c.exempt for c in self.equalities(md))
+
+    def equality_subcurves(self, md) -> list[frozenset[int]]:
+        return [_mask_vertices(c.mask) for c in self.equalities(md)]
+
+
 def is_balanced(g: WeightedGraph, multidegree) -> bool:
     genus = _require_genus(g)
     md = _check_multidegree(g, multidegree)
     if any(md[v] != 1 for v in g.exceptional):
         return False
-    d = sum(md)
-    scale = 2 * (2 * genus - 2)
+    bounds = _SubcurveBounds(g, genus, sum(md))
     return all(
-        scale * _mask_sum(md, c.mask) >= _threshold(genus, d, c.w, c.delta)
-        for c in _balance_checks(g)
+        bounds.scale * _mask_sum(md, c.mask) >= t
+        for c, t in zip(bounds.checks, bounds.thresholds)
     )
 
 
 def is_strictly_balanced(g: WeightedGraph, multidegree) -> bool:
     genus = _require_genus(g)
     md = _check_multidegree(g, multidegree)
-    if not is_balanced(g, md):
-        return False
-    d = sum(md)
-    scale = 2 * (2 * genus - 2)
-    return all(
-        c.exempt
-        or scale * _mask_sum(md, c.mask) > _threshold(genus, d, c.w, c.delta)
-        for c in _balance_checks(g)
-    )
+    return is_balanced(g, md) and _SubcurveBounds(g, genus, sum(md)).strict(md)
+
+
+def equality_subcurves(g: WeightedGraph, multidegree) -> list[frozenset[int]]:
+    """Vertex sets of the connected proper subcurves Z with deg_Z = m_Z(d),
+    ascending as bitmasks; the equality subcurves when the multidegree is
+    balanced."""
+    genus = _require_genus(g)
+    md = _check_multidegree(g, multidegree)
+    return _SubcurveBounds(g, genus, sum(md)).equality_subcurves(md)
 
 
 @dataclass(frozen=True)
@@ -196,21 +231,12 @@ def enumerate_balanced(g: WeightedGraph, d: int) -> BalancedSet:
     lexicographically ordered, with the strictly balanced ones flagged."""
     genus = _require_genus(g)
     lows, highs = _vertex_bounds(g, genus, d)
-    checks = _balance_checks(g)
-    scale = 2 * (2 * genus - 2)
-    masks = [c.mask for c in checks]
-    thresholds = [_threshold(genus, d, c.w, c.delta) for c in checks]
+    bounds = _SubcurveBounds(g, genus, d)
+    masks = [c.mask for c in bounds.checks]
     members = tuple(
-        _kernel.enumerate_box(lows, highs, d, masks, thresholds, scale)
+        _kernel.enumerate_box(lows, highs, d, masks, bounds.thresholds, bounds.scale)
     )
-    strict = tuple(
-        md
-        for md in members
-        if all(
-            c.exempt or scale * _mask_sum(md, c.mask) > t
-            for c, t in zip(checks, thresholds)
-        )
-    )
+    strict = tuple(md for md in members if bounds.strict(md))
     return BalancedSet(degree=d, members=members, strict_members=strict)
 
 

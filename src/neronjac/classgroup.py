@@ -80,7 +80,8 @@ def smith_normal_form(matrix: list[list[int]]):
         for row in m:
             row[a] = -row[a]
 
-    for k in range(n):
+    k = 0
+    while k < n:
         while True:
             # bring a nonzero pivot of minimal absolute value to (k, k)
             pivot = None
@@ -121,23 +122,14 @@ def smith_normal_form(matrix: list[list[int]]):
                 if bad is not None:
                     break
             if bad is not None:
+                # restart from the first pivot on the updated matrix; U and
+                # Uinv keep tracking the row operations in place
                 add_row(k, bad, 1)
-                # restart elimination at this pivot
-                return _snf_continue(m, u, uinv, k)
+                k = 0
+                continue
+        k += 1
     diag = [m[i][i] for i in range(n)]
     return diag, u, uinv
-
-
-def _snf_continue(m, u, uinv, k):
-    # Re-run on the already partially reduced matrix; recursion depth is
-    # bounded by the product of entry magnitudes shrinking each round.
-    n = len(m)
-    full = [row[:] for row in m]
-    diag, u2, u2inv = smith_normal_form(full)
-    # compose transforms: total U = u2 * u, total Uinv = uinv * u2inv
-    uu = [[sum(u2[i][t] * u[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-    vv = [[sum(uinv[i][t] * u2inv[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-    return diag, uu, vv
 
 
 @dataclass(frozen=True)

@@ -64,15 +64,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _load(path) -> graphs.WeightedGraph:
-    return graphs.load_graph(path)
-
-
 # -- commands ----------------------------------------------------------------
 
 
 def cmd_validate(args, out):
-    g = _load(args.graph)
+    g = graphs.load_graph(args.graph)
     diag = graphs.validate(g)
     emit(
         [
@@ -91,7 +87,7 @@ def cmd_validate(args, out):
 
 
 def cmd_class_group(args, out):
-    g = _load(args.graph)
+    g = graphs.load_graph(args.graph)
     cg = classgroup.class_group(g)
     emit(
         [{"invariant_factors": cg.invariant_factors, "order": cg.order}],
@@ -103,7 +99,7 @@ def cmd_class_group(args, out):
 
 
 def cmd_balanced(args, out):
-    g = _load(args.graph)
+    g = graphs.load_graph(args.graph)
     records = []
     for d in parse_degrees(args.degree):
         bs = balance.enumerate_balanced(g, d)
@@ -117,7 +113,7 @@ def cmd_balanced(args, out):
 
 
 def cmd_neron(args, out):
-    g = _load(args.graph)
+    g = graphs.load_graph(args.graph)
     route = args.route.replace("-", "_")
     records = []
     for d in parse_degrees(args.degree):
@@ -140,88 +136,74 @@ def cmd_neron(args, out):
     return 0
 
 
-def cmd_analyze(args, out):
-    g = _load(args.graph)
-    diag = graphs.validate(g)
-    if not diag.stable:
-        raise graphs.GraphFormatError("analyze requires a stable graph")
+def _verdict_records(g, gid, degrees, columns):
+    """One record per degree of the stable graph g, whose graph_id is gid,
+    holding the given columns of those `census` and `analyze` print."""
     cg = classgroup.class_group(g)
-    records = []
-    for d in parse_degrees(args.degree):
+    tree = graphs.is_tree_like(g)
+    for d in degrees:
         sets = balance.BalancedSets(d)  # shared by this verdict only
         bs = sets(g)
         verdict = neron.is_neron_type(g, d, route="all", sets=sets)
-        records.append(
-            {
-                "graph": graphs.graph_id(g),
-                "genus": diag.genus,
-                "degree": d,
-                "class_group_order": cg.order,
-                "invariant_factors": cg.invariant_factors,
-                "n_balanced": bs.size,
-                "n_strict": bs.strict_size,
-                "d_general": balance.is_d_general(g, d, sets=sets),
-                "weakly_d_general": verdict.routes["weakly_general"],
-                "component_count": verdict.component_count,
-                "neron": verdict.verdict,
-                "tree_like": graphs.is_tree_like(g),
-            }
-        )
-    emit(
-        records,
-        [
-            "graph",
-            "genus",
-            "degree",
-            "class_group_order",
-            "invariant_factors",
-            "n_balanced",
-            "n_strict",
-            "d_general",
-            "weakly_d_general",
-            "component_count",
-            "neron",
-            "tree_like",
-        ],
-        args.format,
-        out,
-    )
+        rec = {
+            "graph": gid,
+            "genus": g.genus,
+            "weights": list(g.weights),
+            "edges": [list(e) for e in g.edges],
+            "degree": d,
+            "class_group_order": cg.order,
+            "invariant_factors": cg.invariant_factors,
+            "n_balanced": bs.size,
+            "n_strict": bs.strict_size,
+            "component_count": verdict.component_count,
+            "neron": verdict.verdict,
+            "neron_count": verdict.routes["count"],
+            "neron_criterion": verdict.routes["criterion"],
+            "neron_weakly_general": verdict.routes["weakly_general"],
+            "tree_like": tree,
+            "d_general": balance.is_d_general(g, d, sets=sets),
+            "weakly_d_general": verdict.routes["weakly_general"],
+        }
+        yield {c: rec[c] for c in columns}
+
+
+ANALYZE_COLUMNS = [
+    "graph",
+    "genus",
+    "degree",
+    "class_group_order",
+    "invariant_factors",
+    "n_balanced",
+    "n_strict",
+    "d_general",
+    "weakly_d_general",
+    "component_count",
+    "neron",
+    "tree_like",
+]
+
+
+def cmd_analyze(args, out):
+    g = graphs.load_graph(args.graph)
+    if not g.is_stable:
+        raise graphs.GraphFormatError("analyze requires a stable graph")
+    degrees = parse_degrees(args.degree)
+    records = _verdict_records(g, graphs.graph_id(g), degrees, ANALYZE_COLUMNS)
+    emit(list(records), ANALYZE_COLUMNS, args.format, out)
     return 0
 
 
 def census_rows(genus, max_vertices, degrees):
     """One record per (graph, degree); raises on route disagreement."""
-    items = []
-    for g in graphs.census(genus, max_vertices):
-        items.append((graphs.graph_id(g), g))
-    items.sort(key=lambda kv: kv[0])
-    rows = []
-    for gid, g in items:
-        cg_order = classgroup.class_group(g).order
-        tree = graphs.is_tree_like(g)
-        for d in degrees:
-            sets = balance.BalancedSets(d)  # shared by this verdict only
-            bs = sets(g)
-            verdict = neron.is_neron_type(g, d, route="all", sets=sets)
-            rows.append(
-                {
-                    "graph": gid,
-                    "weights": list(g.weights),
-                    "edges": [list(e) for e in g.edges],
-                    "degree": d,
-                    "n_balanced": bs.size,
-                    "n_strict": bs.strict_size,
-                    "class_group_order": cg_order,
-                    "component_count": verdict.component_count,
-                    "neron_count": verdict.routes["count"],
-                    "neron_criterion": verdict.routes["criterion"],
-                    "neron_weakly_general": verdict.routes["weakly_general"],
-                    "tree_like": tree,
-                    "d_general": balance.is_d_general(g, d, sets=sets),
-                    "weakly_d_general": verdict.routes["weakly_general"],
-                }
-            )
-    return rows
+    items = sorted(
+        ((graphs.graph_id(g), g) for g in graphs.census(genus, max_vertices)),
+        key=lambda kv: kv[0],
+    )
+    return [
+        rec
+        for gid, g in items
+        for rec in _verdict_records(g, gid, degrees, CENSUS_COLUMNS)
+    ]
 
 
 CENSUS_COLUMNS = [

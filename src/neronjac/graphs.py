@@ -270,12 +270,10 @@ def connected_subcurves(g: WeightedGraph, proper: bool = True):
     if not g.is_connected:
         raise ValueError("graph must be connected")
     n = g.n_vertices
-    subsets = []
-    for mask in range(1, 1 << n):
-        if proper and mask == (1 << n) - 1:
-            continue
-        if _mask_connected(g, mask):
-            subsets.append(tuple(v for v in range(n) if mask >> v & 1))
+    subsets = [
+        tuple(v for v in range(n) if mask >> v & 1)
+        for mask in connected_subset_masks(g, proper)
+    ]
     for vs in sorted(subsets):
         yield subcurve_stats(g, vs)
 
@@ -443,13 +441,10 @@ def census(genus: int, max_vertices: int) -> list[WeightedGraph]:
             for edge_combo in itertools.combinations_with_replacement(slots, n_edges):
                 edges = tuple(edge_combo)
                 for weights in _compositions(weight_total, n):
-                    try:
-                        g = WeightedGraph(weights, edges)
-                    except GraphFormatError:
-                        continue
-                    if not g.is_connected or not g.is_stable:
-                        continue
-                    if g.genus != genus:
+                    # sum(weights) = genus - b1 and n_edges = b1 + n - 1, so
+                    # a connected (here: stable) graph has the genus asked for
+                    g = WeightedGraph(weights, edges)
+                    if not g.is_stable:
                         continue
                     key = canonical_form(g)
                     if key not in found:
@@ -470,6 +465,18 @@ def graph_to_dict(g: WeightedGraph) -> dict:
     return out
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list_field(data: dict, name: str) -> list:
+    value = data.get(name, [])
+    if not isinstance(value, list):
+        raise GraphFormatError(f"field {name!r} must be a list")
+    return value
+
+
 def graph_from_dict(data: dict) -> WeightedGraph:
     if not isinstance(data, dict):
         raise GraphFormatError("graph description must be an object")
@@ -488,7 +495,7 @@ def graph_from_dict(data: dict) -> WeightedGraph:
             raise GraphFormatError(
                 "each vertex needs integer fields 'id' and 'weight'"
             ) from None
-        if not isinstance(vid, int) or not isinstance(w, int):
+        if not _is_int(vid) or not _is_int(w):
             raise GraphFormatError("vertex 'id' and 'weight' must be integers")
         if vid in weights:
             raise GraphFormatError(f"duplicate vertex id {vid}")
@@ -496,14 +503,16 @@ def graph_from_dict(data: dict) -> WeightedGraph:
         weights[vid] = w
     index = {vid: i for i, vid in enumerate(sorted(ids))}
     edges = []
-    for e in data.get("edges", []):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+    for e in _list_field(data, "edges"):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
             raise GraphFormatError(f"edge {e!r} must be a pair of vertex ids")
         if e[0] not in index or e[1] not in index:
             raise GraphFormatError(f"edge {e!r} references an unknown vertex id")
         edges.append((index[e[0]], index[e[1]]))
     exceptional = []
-    for vid in data.get("exceptional", []):
+    for vid in _list_field(data, "exceptional"):
+        if not _is_int(vid):
+            raise GraphFormatError(f"exceptional mark {vid!r} must be a vertex id")
         if vid not in index:
             raise GraphFormatError(f"exceptional mark {vid!r} references an unknown vertex id")
         exceptional.append(index[vid])

@@ -34,11 +34,7 @@ def vine(g1: int, g2: int, delta: int) -> WeightedGraph:
         raise ValueError("component genera must be non-negative")
     if delta < 1:
         raise ValueError("a vine curve needs at least one node")
-    if g1 == 0 and delta < 3:
-        raise ValueError(
-            f"unstable vine: weight-0 component with valency {delta} < 3"
-        )
-    if g2 == 0 and delta < 3:
+    if (g1 == 0 or g2 == 0) and delta < 3:
         raise ValueError(
             f"unstable vine: weight-0 component with valency {delta} < 3"
         )

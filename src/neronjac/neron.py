@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 from .balance import (
     BalancedSets,
-    _balance_checks,
-    _mask_sum,
     _require_genus,
-    _threshold,
+    _SubcurveBounds,
     _verdict_sets,
     enumerate_balanced,
+    equality_subcurves,
     is_balanced,
     is_weakly_d_general,
 )
@@ -47,19 +46,14 @@ class RouteDisagreement(TheoremCheckError):
 
 
 def s_of_mu(g: WeightedGraph, multidegree) -> frozenset[int]:
-    """Union of the boundary edge sets of all connected proper subcurves on
-    which the multidegree meets its lower bound with equality."""
-    genus = _require_genus(g)
+    """Union of the boundary edge sets of the equality subcurves of a
+    balanced multidegree."""
     md = tuple(int(x) for x in multidegree)
     if not is_balanced(g, md):
         raise ValueError("multidegree is not balanced")
-    d = sum(md)
-    scale = 2 * (2 * genus - 2)
     out: set[int] = set()
-    for c in _balance_checks(g):
-        if scale * _mask_sum(md, c.mask) == _threshold(genus, d, c.w, c.delta):
-            vs = frozenset(v for v in range(g.n_vertices) if c.mask >> v & 1)
-            out |= g.boundary_edges(vs)
+    for vs in equality_subcurves(g, md):
+        out |= g.boundary_edges(vs)
     return frozenset(out)
 
 
@@ -185,19 +179,15 @@ def _route_count(count: int, order: int) -> bool:
 
 
 def _route_criterion(g: WeightedGraph, d: int, sets: BalancedSets) -> bool:
-    # every equality subcurve of every balanced multidegree must have its
-    # boundary inside the bridge set
-    genus = g.genus
-    scale = 2 * (2 * genus - 2)
+    # every equality subcurve (balance.equality_subcurves) of every balanced
+    # multidegree must have its boundary inside the bridge set
     bridges = separating_edges(g)
-    checks = _balance_checks(g)
-    for md in sets(g).members:
-        for c in checks:
-            if scale * _mask_sum(md, c.mask) == _threshold(genus, d, c.w, c.delta):
-                vs = frozenset(v for v in range(g.n_vertices) if c.mask >> v & 1)
-                if not g.boundary_edges(vs) <= bridges:
-                    return False
-    return True
+    bounds = _SubcurveBounds(g, g.genus, d)
+    return all(
+        g.boundary_edges(vs) <= bridges
+        for md in sets(g).members
+        for vs in bounds.equality_subcurves(md)
+    )
 
 
 def _route_weakly_general(g: WeightedGraph, d: int, sets: BalancedSets) -> bool:

@@ -11,6 +11,7 @@ from neronjac import (
     blow_up,
     census,
     enumerate_balanced,
+    equality_subcurves,
     is_balanced,
     is_d_general,
     is_strictly_balanced,
@@ -19,7 +20,7 @@ from neronjac import (
     separating_edges,
 )
 from neronjac.balance import _vertex_bounds
-from oracles import brute_force_balanced
+from oracles import brute_force_balanced, subcurve_w_delta
 
 
 class TestLowerBound:
@@ -194,6 +195,63 @@ class TestVertexBounds:
         g = WeightedGraph((1, 1), ())
         with pytest.raises(ValueError, match="connected graphs"):
             call(g)
+
+
+def _brute_force_equality_subcurves(g, md):
+    """Connected proper vertex subsets Z with deg_Z = m_Z(d), found with
+    Fraction arithmetic over every subset."""
+    n = g.n_vertices
+    genus = g.genus
+    d = sum(md)
+    out = set()
+    for size in range(1, n):
+        for zs in map(frozenset, itertools.combinations(range(n), size)):
+            reached = {min(zs)}
+            frontier = [min(zs)]
+            while frontier:
+                x = frontier.pop()
+                for u, v in g.edges:
+                    for a, b in ((u, v), (v, u)):
+                        if a == x and b in zs and b not in reached:
+                            reached.add(b)
+                            frontier.append(b)
+            if reached != zs:
+                continue
+            w, delta = subcurve_w_delta(g.weights, g.edges, zs)
+            bound = Fraction(d * w, 2 * genus - 2) - Fraction(delta, 2)
+            if sum(md[v] for v in zs) == bound:
+                out.add(zs)
+    return out
+
+
+class TestEqualitySubcurves:
+    def test_against_fraction_brute_force(self):
+        checked = 0
+        for genus in (2, 3):
+            for base in census(genus, 3):
+                for g in (base, blow_up(base, separating_edges(base))):
+                    for d in range(-genus, 3 * genus + 1):
+                        for md in enumerate_balanced(g, d).members:
+                            found = equality_subcurves(g, md)
+                            assert len(found) == len(set(found))
+                            assert set(found) == _brute_force_equality_subcurves(
+                                g, md
+                            )
+                            checked += 1
+        assert checked > 1000
+
+    def test_theta(self, theta):
+        # m_{v}(1) = -1 on each vertex, and m_{v}(2) = -1/2 is never met
+        assert equality_subcurves(theta, (0, 1)) == []
+        assert equality_subcurves(theta, (-1, 2)) == [frozenset({0})]
+        assert equality_subcurves(theta, (2, -1)) == [frozenset({1})]
+        assert equality_subcurves(theta, (1, 1)) == []
+
+    def test_errors(self, theta):
+        with pytest.raises(ValueError, match="entries"):
+            equality_subcurves(theta, (0, 1, 0))
+        with pytest.raises(ValueError, match="genus"):
+            equality_subcurves(WeightedGraph((1,), ()), (0, 1))
 
 
 class TestBalancedSets:

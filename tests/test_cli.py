@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -66,6 +67,32 @@ class TestValidate:
         path.write_text("{not json")
         code, _ = invoke(["validate", str(path)])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"vertices": [{"id": 0, "weight": 2}], "edges": 5}',
+            '{"vertices": [{"id": 0, "weight": 2}], "edges": {}}',
+            '{"vertices": [{"id": 0, "weight": 2}], "exceptional": 5}',
+            '{"vertices": [{"id": 0, "weight": 2}], "exceptional": [[0]]}',
+            '{"vertices": [{"id": 0, "weight": 1}, {"id": 1, "weight": 1}],'
+            ' "edges": [[0, 1]], "exceptional": [true]}',
+            '{"vertices": [{"id": true, "weight": 2}]}',
+            '{"vertices": [{"id": 0, "weight": true}], "edges": [[0, 0]]}',
+            '{"vertices": [{"id": 0, "weight": 1}, {"id": 1, "weight": 1}],'
+            ' "edges": [[true, 0]]}',
+        ],
+        ids=["edges-int", "edges-object", "exceptional-int",
+             "exceptional-list-mark", "exceptional-bool-mark", "bool-id",
+             "bool-weight", "bool-edge-end"],
+    )
+    def test_bad_field_types(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        code, out = invoke(["validate", str(path)])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestClassGroup:
@@ -136,6 +163,21 @@ class TestAnalyze:
         assert rec["d_general"] is False
         assert rec["weakly_d_general"] is True
 
+    def test_graph_id_once_for_many_degrees(self, theta_file, monkeypatch):
+        from neronjac import graphs
+
+        calls = []
+        real = graphs.canonical_form
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(graphs, "canonical_form", counted)
+        code, out = invoke(["analyze", "--degree=5..14", theta_file])
+        assert code == 0 and len(out.splitlines()) == 11
+        assert len(calls) == 1
+
     def test_unstable_rejected(self, tmp_path):
         g = WeightedGraph((0, 2), ((0, 1), (0, 1)))
         path = tmp_path / "unstable.graph"
@@ -174,6 +216,47 @@ class TestCensus:
     def test_bad_genus(self):
         code, _ = invoke(["census", "--genus", "9", "--degree", "0"])
         assert code == 1
+
+
+# sha256 of stdout, recorded before census and analyze shared one record
+# builder; the analyze graph files are the conftest fixtures
+GOLDEN = [
+    (["census", "--genus", "2", "--degree=-2..4"], None, "table",
+     "f92353a2302eb5ca2a9bd47f80fd7251fbb5de9fddef8676801bc0fc9adef079"),
+    (["census", "--genus", "2", "--degree=-2..4"], None, "json-lines",
+     "8ce7dfb1675130c40489183ef0a3e601e115876fdda428700eb84e68b5528d4b"),
+    (["census", "--genus", "3", "--degree=0..5"], None, "table",
+     "fd183be2b00891b6a6d9da931f8a383d3dffc9eabbe21a4d98aa28d2cf9c2363"),
+    (["census", "--genus", "3", "--degree=0..5"], None, "json-lines",
+     "4e0a41893bbab8a1c7c87ca14b2c637125c771529a8cd8659eb254afc58fcbba"),
+    (["analyze", "--degree=-3..8"], "theta", "table",
+     "188df543a4d0d2ce901f83a7c66e3351e3532ef02f0df8d4f141f4af02094106"),
+    (["analyze", "--degree=-3..8"], "theta", "json-lines",
+     "cbdec7a17ba69898332a85c4c97e5573d114e8df2659cae35dcc08044f63a053"),
+    (["analyze", "--degree=-3..8"], "theta_pendant", "table",
+     "f0f3362900cb3fa7f9197ef2ecf85ddf6d608ecd6279607be02b8d6e0044fbba"),
+    (["analyze", "--degree=-3..8"], "theta_pendant", "json-lines",
+     "ca68f2e9882607c8f8307251f197366b4e3984499be462f3b9238651302b099c"),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize(
+        "argv,fixture,fmt,digest",
+        GOLDEN,
+        ids=[f"{a[0]}-{f or a[2]}-{fmt}" for a, f, fmt, _ in GOLDEN],
+    )
+    def test_stdout_digest(self, request, tmp_path, argv, fixture, fmt, digest):
+        argv = argv + ["--format", fmt]
+        if fixture is not None:
+            path = tmp_path / f"{fixture}.graph"
+            path.write_text(
+                json.dumps(graph_to_dict(request.getfixturevalue(fixture)))
+            )
+            argv.append(str(path))
+        code, out = invoke(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVineScan:

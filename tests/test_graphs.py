@@ -261,10 +261,11 @@ class TestCensus:
                 assert not is_isomorphic(a, b)
 
     def test_members_valid(self):
-        for g in census(3, 3):
-            diag = validate(g)
-            assert diag.genus == 3
-            assert diag.connected and diag.stable
+        for genus, max_vertices in ((3, 3), (4, 4)):
+            for g in census(genus, max_vertices):
+                diag = validate(g)
+                assert diag.genus == genus
+                assert diag.connected and diag.stable
 
     def test_deterministic(self):
         assert census(2, 2) == census(2, 2)

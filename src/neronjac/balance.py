@@ -12,7 +12,10 @@ nodes all lie on exceptional components.  A balanced multidegree is
 strictly balanced when it has no non-exempt equality subcurve.
 
 Every comparison is done on integers after clearing denominators by
-2*(2g-2), in _SubcurveBounds; the public bound m_Z(d) is an exact Fraction.
+2*(2g-2), in _SubcurveBounds: scale * deg_Z >= t_Z.  Strict balance is
+balance with the threshold of every non-exempt subcurve raised by one,
+scale * deg_Z >= t_Z + 1, so the enumeration kernel decides both.  The
+public bound m_Z(d) is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from . import _kernel
 from .graphs import (
     Subcurve,
     WeightedGraph,
+    check_multidegree,
     connected_subset_masks,
     contract_separating,
     subcurve_stats,
@@ -98,15 +102,6 @@ def _threshold(genus: int, d: int, w: int, delta: int) -> int:
     return 2 * d * w - (2 * genus - 2) * delta
 
 
-def _check_multidegree(g: WeightedGraph, multidegree) -> tuple[int, ...]:
-    md = tuple(int(x) for x in multidegree)
-    if len(md) != g.n_vertices:
-        raise ValueError(
-            f"multidegree has {len(md)} entries, graph has {g.n_vertices} vertices"
-        )
-    return md
-
-
 def _mask_sum(md, mask: int) -> int:
     acc = 0
     v = 0
@@ -130,39 +125,39 @@ class _SubcurveBounds:
         self.thresholds = [_threshold(genus, d, c.w, c.delta) for c in self.checks]
         self.scale = 2 * (2 * genus - 2)
 
-    def equalities(self, md):
-        """The checks of the equality subcurves of md, in mask order."""
-        scale = self.scale
-        return (
-            c
-            for c, t in zip(self.checks, self.thresholds)
-            if scale * _mask_sum(md, c.mask) == t
-        )
-
-    def strict(self, md) -> bool:
-        """For a balanced md: every equality subcurve is exempt."""
-        return all(c.exempt for c in self.equalities(md))
+    def raised(self) -> list[int]:
+        """The thresholds of strict balance: each non-exempt one plus 1."""
+        return [t + (not c.exempt) for c, t in zip(self.checks, self.thresholds)]
 
     def equality_subcurves(self, md) -> list[frozenset[int]]:
-        return [_mask_vertices(c.mask) for c in self.equalities(md)]
+        """The vertex sets of the equality subcurves of md, in mask order."""
+        scale = self.scale
+        return [
+            _mask_vertices(c.mask)
+            for c, t in zip(self.checks, self.thresholds)
+            if scale * _mask_sum(md, c.mask) == t
+        ]
 
 
-def is_balanced(g: WeightedGraph, multidegree) -> bool:
+def _meets_bounds(g: WeightedGraph, multidegree, strict: bool) -> bool:
     genus = _require_genus(g)
-    md = _check_multidegree(g, multidegree)
+    md = check_multidegree(multidegree, g.n_vertices)
     if any(md[v] != 1 for v in g.exceptional):
         return False
     bounds = _SubcurveBounds(g, genus, sum(md))
+    thresholds = bounds.raised() if strict else bounds.thresholds
     return all(
         bounds.scale * _mask_sum(md, c.mask) >= t
-        for c, t in zip(bounds.checks, bounds.thresholds)
+        for c, t in zip(bounds.checks, thresholds)
     )
 
 
+def is_balanced(g: WeightedGraph, multidegree) -> bool:
+    return _meets_bounds(g, multidegree, strict=False)
+
+
 def is_strictly_balanced(g: WeightedGraph, multidegree) -> bool:
-    genus = _require_genus(g)
-    md = _check_multidegree(g, multidegree)
-    return is_balanced(g, md) and _SubcurveBounds(g, genus, sum(md)).strict(md)
+    return _meets_bounds(g, multidegree, strict=True)
 
 
 def equality_subcurves(g: WeightedGraph, multidegree) -> list[frozenset[int]]:
@@ -170,7 +165,7 @@ def equality_subcurves(g: WeightedGraph, multidegree) -> list[frozenset[int]]:
     ascending as bitmasks; the equality subcurves when the multidegree is
     balanced."""
     genus = _require_genus(g)
-    md = _check_multidegree(g, multidegree)
+    md = check_multidegree(multidegree, g.n_vertices)
     return _SubcurveBounds(g, genus, sum(md)).equality_subcurves(md)
 
 
@@ -236,7 +231,11 @@ def enumerate_balanced(g: WeightedGraph, d: int) -> BalancedSet:
     members = tuple(
         _kernel.enumerate_box(lows, highs, d, masks, bounds.thresholds, bounds.scale)
     )
-    strict = tuple(md for md in members if bounds.strict(md))
+    strict = ()
+    if members:  # strictly balanced implies balanced
+        strict = tuple(
+            _kernel.enumerate_box(lows, highs, d, masks, bounds.raised(), bounds.scale)
+        )
     return BalancedSet(degree=d, members=members, strict_members=strict)
 
 
@@ -299,7 +298,7 @@ def is_weakly_d_general(
 def alpha(g: WeightedGraph, multidegree) -> tuple[int, ...]:
     """Push a balanced multidegree forward to the bridge contraction by
     summing over contraction fibers; the result is balanced there."""
-    md = _check_multidegree(g, multidegree)
+    md = check_multidegree(multidegree, g.n_vertices)
     if not is_balanced(g, md):
         raise ValueError("multidegree is not balanced")
     contracted, phi = contract_separating(g)

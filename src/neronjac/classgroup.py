@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, check_multidegree
 
 
 def intersection_matrix(g: WeightedGraph) -> list[list[int]]:
@@ -153,19 +153,11 @@ class ClassGroup:
             out *= d
         return out
 
-    def _check(self, multidegree) -> tuple[int, ...]:
-        md = tuple(int(x) for x in multidegree)
-        if len(md) != self.n_vertices:
-            raise ValueError(
-                f"multidegree has {len(md)} entries, graph has {self.n_vertices} vertices"
-            )
-        return md
-
     def canonicalizer(self, multidegree) -> tuple:
         """Canonical coordinates of the class of a multidegree: total degree
         plus residues of U * v modulo the invariant diagonal, where v drops
         the last coordinate."""
-        md = self._check(multidegree)
+        md = check_multidegree(multidegree, self.n_vertices)
         v = md[:-1]
         y = [sum(self.u[i][j] * v[j] for j in range(len(v))) for i in range(len(v))]
         residues = tuple(y[i] % self.diag[i] for i in range(len(v)))
@@ -174,7 +166,7 @@ class ClassGroup:
     def canonical_representative(self, multidegree) -> tuple[int, ...]:
         """The canonical multidegree in the class of the input (same total
         degree)."""
-        md = self._check(multidegree)
+        md = check_multidegree(multidegree, self.n_vertices)
         total, residues = self.canonicalizer(md)
         return self._lift(residues, total)
 
@@ -191,7 +183,8 @@ class ClassGroup:
         return out
 
     def same_class(self, d1, d2) -> bool:
-        md1, md2 = self._check(d1), self._check(d2)
+        md1 = check_multidegree(d1, self.n_vertices)
+        md2 = check_multidegree(d2, self.n_vertices)
         if sum(md1) != sum(md2):
             raise ValueError("multidegrees must have equal total degree")
         return self.canonicalizer(md1) == self.canonicalizer(md2)

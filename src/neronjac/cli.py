@@ -65,40 +65,28 @@ def _cell(value) -> str:
 
 
 # -- commands ----------------------------------------------------------------
+# Each command returns its records; run() prints them under the columns its
+# subparser registers.
 
 
-def cmd_validate(args, out):
-    g = graphs.load_graph(args.graph)
-    diag = graphs.validate(g)
-    emit(
-        [
-            {
-                "genus": diag.genus,
-                "connected": diag.connected,
-                "stable": diag.stable,
-                "quasistable": diag.quasistable,
-            }
-        ],
-        ["genus", "connected", "stable", "quasistable"],
-        args.format,
-        out,
-    )
-    return 0
+def cmd_validate(args):
+    diag = graphs.validate(graphs.load_graph(args.graph))
+    return [
+        {
+            "genus": diag.genus,
+            "connected": diag.connected,
+            "stable": diag.stable,
+            "quasistable": diag.quasistable,
+        }
+    ]
 
 
-def cmd_class_group(args, out):
-    g = graphs.load_graph(args.graph)
-    cg = classgroup.class_group(g)
-    emit(
-        [{"invariant_factors": cg.invariant_factors, "order": cg.order}],
-        ["invariant_factors", "order"],
-        args.format,
-        out,
-    )
-    return 0
+def cmd_class_group(args):
+    cg = classgroup.class_group(graphs.load_graph(args.graph))
+    return [{"invariant_factors": cg.invariant_factors, "order": cg.order}]
 
 
-def cmd_balanced(args, out):
+def cmd_balanced(args):
     g = graphs.load_graph(args.graph)
     records = []
     for d in parse_degrees(args.degree):
@@ -108,32 +96,24 @@ def cmd_balanced(args, out):
             records.append(
                 {"degree": d, "multidegree": list(md), "strict": md in strict}
             )
-    emit(records, ["degree", "multidegree", "strict"], args.format, out)
-    return 0
+    return records
 
 
-def cmd_neron(args, out):
+def cmd_neron(args):
     g = graphs.load_graph(args.graph)
     route = args.route.replace("-", "_")
-    records = []
-    for d in parse_degrees(args.degree):
-        verdict = neron.is_neron_type(g, d, route=route)
-        records.append(
-            {
-                "degree": d,
-                "verdict": verdict.verdict,
-                "component_count": verdict.component_count,
-                "class_group_order": verdict.class_group_order,
-                "routes": dict(sorted(verdict.routes.items())),
-            }
-        )
-    emit(
-        records,
-        ["degree", "verdict", "component_count", "class_group_order", "routes"],
-        args.format,
-        out,
-    )
-    return 0
+    degrees = parse_degrees(args.degree)
+    verdicts = [neron.is_neron_type(g, d, route=route) for d in degrees]
+    return [
+        {
+            "degree": d,
+            "verdict": verdict.verdict,
+            "component_count": verdict.component_count,
+            "class_group_order": verdict.class_group_order,
+            "routes": dict(sorted(verdict.routes.items())),
+        }
+        for d, verdict in zip(degrees, verdicts)
+    ]
 
 
 def _verdict_records(g, gid, degrees, columns):
@@ -183,14 +163,12 @@ ANALYZE_COLUMNS = [
 ]
 
 
-def cmd_analyze(args, out):
+def cmd_analyze(args):
     g = graphs.load_graph(args.graph)
     if not g.is_stable:
         raise graphs.GraphFormatError("analyze requires a stable graph")
     degrees = parse_degrees(args.degree)
-    records = _verdict_records(g, graphs.graph_id(g), degrees, ANALYZE_COLUMNS)
-    emit(list(records), ANALYZE_COLUMNS, args.format, out)
-    return 0
+    return list(_verdict_records(g, graphs.graph_id(g), degrees, ANALYZE_COLUMNS))
 
 
 def census_rows(genus, max_vertices, degrees):
@@ -224,73 +202,50 @@ CENSUS_COLUMNS = [
 ]
 
 
-def cmd_census(args, out):
+def cmd_census(args):
     if not 2 <= args.genus <= 5:
         raise ValueError("census genus must be between 2 and 5")
-    degrees = parse_degrees(args.degree)
-    rows = census_rows(args.genus, args.max_vertices, degrees)
-    emit(rows, CENSUS_COLUMNS, args.format, out)
-    return 0
+    return census_rows(args.genus, args.max_vertices, parse_degrees(args.degree))
 
 
-def cmd_vine_scan(args, out):
-    records = []
-    for d in parse_degrees(args.degree):
-        for v in locus.stable_vines(args.genus, args.min_delta):
-            g = locus.vine(v.g1, v.g2, v.delta)
-            bs = balance.enumerate_balanced(g, d)
-            records.append(
-                {
-                    "g1": v.g1,
-                    "g2": v.g2,
-                    "delta": v.delta,
-                    "degree": d,
-                    "n_balanced": bs.size,
-                    "n_strict": bs.strict_size,
-                    "class_group_order": classgroup.class_group(g).order,
-                    "d_special": bs.members != bs.strict_members,
-                }
-            )
-    emit(
-        records,
-        ["g1", "g2", "delta", "degree", "n_balanced", "n_strict",
-         "class_group_order", "d_special"],
-        args.format,
-        out,
-    )
-    return 0
+def cmd_vine_scan(args):
+    return [
+        {
+            "g1": v.g1,
+            "g2": v.g2,
+            "delta": v.delta,
+            "degree": d,
+            "n_balanced": bs.size,
+            "n_strict": bs.strict_size,
+            "class_group_order": classgroup.class_group(g).order,
+            "d_special": bs.members != bs.strict_members,
+        }
+        for d in parse_degrees(args.degree)
+        for v, g, bs in locus.balanced_vines(args.genus, d, args.min_delta)
+    ]
 
 
-def cmd_codim_report(args, out):
-    records = []
-    for d in parse_degrees(args.degree):
-        report = locus.codim_report(args.genus, d)
-        records.append(
-            {
-                "genus": report.genus,
-                "degree": report.degree,
-                "gcd": report.gcd_value,
-                "predicted_codim": report.predicted_codim,
-                "n_special_vines": len(report.special_vines),
-                "special_vines": [
-                    [v.g1, v.g2, v.delta] for v in report.special_vines
-                ],
-            }
-        )
-    emit(
-        records,
-        ["genus", "degree", "gcd", "predicted_codim", "n_special_vines",
-         "special_vines"],
-        args.format,
-        out,
-    )
-    return 0
+def cmd_codim_report(args):
+    reports = [locus.codim_report(args.genus, d) for d in parse_degrees(args.degree)]
+    return [
+        {
+            "genus": report.genus,
+            "degree": report.degree,
+            "gcd": report.gcd_value,
+            "predicted_codim": report.predicted_codim,
+            "n_special_vines": len(report.special_vines),
+            "special_vines": [
+                [v.g1, v.g2, v.delta] for v in report.special_vines
+            ],
+        }
+        for report in reports
+    ]
 
 
-def cmd_audit(args, out):
+def cmd_audit(args):
     degrees = parse_degrees(args.degree)
     rows = locus.gcd_remark_audit(args.genus, degrees, max_vertices=args.max_vertices)
-    records = [
+    return [
         {
             "degree": row.degree,
             "all_general": row.all_general,
@@ -301,14 +256,6 @@ def cmd_audit(args, out):
         }
         for row in rows
     ]
-    emit(
-        records,
-        ["degree", "all_general", "gcd_2g_minus_1_is_1", "gcd_2g_minus_2_is_1",
-         "agree_2g_minus_1", "agree_2g_minus_2"],
-        args.format,
-        out,
-    )
-    return 0
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -334,9 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=False, degree=False, genus=False):
+    def command(name, summary, func, columns, graph=False, degree=False, genus=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, columns=columns)
         p.add_argument("--format", choices=["table", "json-lines"], default="table")
-        p.add_argument("--seed", help=argparse.SUPPRESS)
         if degree:
             p.add_argument(
                 "--degree", action="append", required=True,
@@ -347,76 +295,65 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--genus", type=int, required=True)
         if graph:
             p.add_argument("graph", help="graph file (JSON)")
+        return p
 
-    p = sub.add_parser("validate", help="genus and stability diagnostics")
-    common(p, graph=True)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("class-group", help="invariant factors and order")
-    common(p, graph=True)
-    p.set_defaults(func=cmd_class_group)
-
-    p = sub.add_parser("balanced", help="enumerate balanced multidegrees")
-    common(p, graph=True, degree=True)
-    p.set_defaults(func=cmd_balanced)
-
-    p = sub.add_parser("neron", help="Neron-type verdict")
-    common(p, graph=True, degree=True)
+    command("validate", "genus and stability diagnostics", cmd_validate,
+            ["genus", "connected", "stable", "quasistable"], graph=True)
+    command("class-group", "invariant factors and order", cmd_class_group,
+            ["invariant_factors", "order"], graph=True)
+    command("balanced", "enumerate balanced multidegrees", cmd_balanced,
+            ["degree", "multidegree", "strict"], graph=True, degree=True)
+    p = command("neron", "Neron-type verdict", cmd_neron,
+                ["degree", "verdict", "component_count", "class_group_order", "routes"],
+                graph=True, degree=True)
     p.add_argument(
         "--route",
         choices=["count", "criterion", "weakly-general", "all"],
         default="all",
     )
-    p.set_defaults(func=cmd_neron)
-
-    p = sub.add_parser("analyze", help="combined single-graph report")
-    common(p, graph=True, degree=True)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("census", help="per-(graph, degree) census report")
-    common(p, degree=True, genus=True)
+    command("analyze", "combined single-graph report", cmd_analyze,
+            ANALYZE_COLUMNS, graph=True, degree=True)
+    p = command("census", "per-(graph, degree) census report", cmd_census,
+                CENSUS_COLUMNS, degree=True, genus=True)
     p.add_argument("--max-vertices", type=int, default=4)
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("vine-scan", help="d-special vine curves of a genus")
-    common(p, degree=True, genus=True)
+    p = command("vine-scan", "d-special vine curves of a genus", cmd_vine_scan,
+                ["g1", "g2", "delta", "degree", "n_balanced", "n_strict",
+                 "class_group_order", "d_special"],
+                degree=True, genus=True)
     p.add_argument("--min-delta", type=int, default=1)
-    p.set_defaults(func=cmd_vine_scan)
-
-    p = sub.add_parser("codim-report", help="gcd trichotomy report")
-    common(p, degree=True, genus=True)
-    p.set_defaults(func=cmd_codim_report)
-
-    p = sub.add_parser("audit", help="gcd criteria vs census d-generality")
-    common(p, degree=True, genus=True)
+    command("codim-report", "gcd trichotomy report", cmd_codim_report,
+            ["genus", "degree", "gcd", "predicted_codim", "n_special_vines",
+             "special_vines"],
+            degree=True, genus=True)
+    p = command("audit", "gcd criteria vs census d-generality", cmd_audit,
+                ["degree", "all_general", "gcd_2g_minus_1_is_1", "gcd_2g_minus_2_is_1",
+                 "agree_2g_minus_1", "agree_2g_minus_2"],
+                degree=True, genus=True)
     p.add_argument("--max-vertices", type=int, default=4)
-    p.set_defaults(func=cmd_audit)
 
     return parser
 
 
+# built once: run() is called many times in one process by tests and tools
+_PARSER = build_parser()
+
+
 def run(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        print(
-            "error: --seed is reserved; all computations are deterministic",
-            file=sys.stderr,
-        )
-        return 1
     try:
-        return args.func(args, out)
+        emit(args.func(args), args.columns, args.format, out)
     except neron.TheoremCheckError as exc:
         print(f"theorem check failed: {exc}", file=sys.stderr)
         return 2
     except (graphs.GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -470,6 +470,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_multidegree(multidegree, n_vertices: int) -> tuple[int, ...]:
+    """The multidegree as a tuple, which must hold one integer per vertex."""
+    md = tuple(multidegree)
+    if not all(_is_int(x) for x in md):
+        raise ValueError(f"multidegree entries must be integers, got {md!r}")
+    if len(md) != n_vertices:
+        raise ValueError(
+            f"multidegree has {len(md)} entries, graph has {n_vertices} vertices"
+        )
+    return md
+
+
 def _list_field(data: dict, name: str) -> list:
     value = data.get(name, [])
     if not isinstance(value, list):
@@ -477,9 +489,16 @@ def _list_field(data: dict, name: str) -> list:
     return value
 
 
+def _reject_unknown(fields, allowed, what: str) -> None:
+    for key in fields:
+        if key not in allowed:
+            raise GraphFormatError(f"unknown {what} {key!r}")
+
+
 def graph_from_dict(data: dict) -> WeightedGraph:
     if not isinstance(data, dict):
         raise GraphFormatError("graph description must be an object")
+    _reject_unknown(data, ("vertices", "edges", "exceptional"), "field")
     try:
         vertices = data["vertices"]
     except KeyError:
@@ -489,6 +508,8 @@ def graph_from_dict(data: dict) -> WeightedGraph:
     ids = []
     weights = {}
     for entry in vertices:
+        if isinstance(entry, dict):
+            _reject_unknown(entry, ("id", "weight"), "vertex field")
         try:
             vid, w = entry["id"], entry["weight"]
         except (TypeError, KeyError):

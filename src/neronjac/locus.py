@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .balance import is_d_general
+from .balance import enumerate_balanced, is_d_general
 from .graphs import WeightedGraph, census
 
 
@@ -48,9 +48,10 @@ def is_d_special(g: WeightedGraph, d: int) -> bool:
     return not is_d_general(g, d)
 
 
-def stable_vines(genus: int, min_delta: int = 1):
-    """The parameter triples of every stable vine curve of the given genus
-    with at least min_delta nodes, ordered by (g1, g2)."""
+def balanced_vines(genus: int, d: int, min_delta: int = 1):
+    """(parameters, graph, balanced set at degree d) of every stable vine
+    curve of the given genus with at least min_delta nodes, ordered by
+    (g1, g2)."""
     for g1 in range(genus + 1):
         for g2 in range(g1, genus + 1):
             delta = genus - g1 - g2 + 1
@@ -58,7 +59,8 @@ def stable_vines(genus: int, min_delta: int = 1):
                 continue
             if (g1 == 0 or g2 == 0) and delta < 3:
                 continue
-            yield VineCurve(g1, g2, delta)
+            g = vine(g1, g2, delta)
+            yield VineCurve(g1, g2, delta), g, enumerate_balanced(g, d)
 
 
 def d_special_vine_scan(genus: int, d: int, min_delta: int = 1) -> list[VineCurve]:
@@ -68,8 +70,8 @@ def d_special_vine_scan(genus: int, d: int, min_delta: int = 1) -> list[VineCurv
         raise ValueError("genus must be at least 2")
     return [
         v
-        for v in stable_vines(genus, min_delta)
-        if is_d_special(vine(v.g1, v.g2, v.delta), d)
+        for v, _, bs in balanced_vines(genus, d, min_delta)
+        if bs.members != bs.strict_members
     ]
 
 

@@ -28,6 +28,7 @@ from .classgroup import class_group
 from .graphs import (
     WeightedGraph,
     blow_up,
+    check_multidegree,
     is_tree_like,
     separating_edges,
 )
@@ -48,7 +49,7 @@ class RouteDisagreement(TheoremCheckError):
 def s_of_mu(g: WeightedGraph, multidegree) -> frozenset[int]:
     """Union of the boundary edge sets of the equality subcurves of a
     balanced multidegree."""
-    md = tuple(int(x) for x in multidegree)
+    md = check_multidegree(multidegree, g.n_vertices)
     if not is_balanced(g, md):
         raise ValueError("multidegree is not balanced")
     out: set[int] = set()
@@ -66,9 +67,7 @@ def push_down(g: WeightedGraph, edge_subset, hat_multidegree, side: str = "low")
         raise ValueError("side must be 'low' or 'high'")
     subset = sorted(set(edge_subset))
     n = g.n_vertices
-    md = tuple(int(x) for x in hat_multidegree)
-    if len(md) != n + len(subset):
-        raise ValueError("multidegree does not match the blow-up")
+    md = check_multidegree(hat_multidegree, n + len(subset))
     out = list(md[:n])
     for k, i in enumerate(subset):
         u, v = g.edges[i]  # u <= v by normalization
@@ -117,7 +116,7 @@ def extremal_pair(g: WeightedGraph, multidegree) -> ExtremalPair:
     zero or several matches falsify the uniqueness the engine relies on and
     raise UniquenessError with full diagnostics.
     """
-    md = tuple(int(x) for x in multidegree)
+    md = check_multidegree(multidegree, g.n_vertices)
     s_mu = s_of_mu(g, md)
     hat = blow_up(g, s_mu)
     d = sum(md)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -81,10 +82,13 @@ class TestValidate:
             '{"vertices": [{"id": 0, "weight": true}], "edges": [[0, 0]]}',
             '{"vertices": [{"id": 0, "weight": 1}, {"id": 1, "weight": 1}],'
             ' "edges": [[true, 0]]}',
+            '{"vertices": [{"id": 0, "weight": 2}], "edgse": [[0, 0]]}',
+            '{"vertices": [{"id": 0, "wieght": 2, "weight": 1}], "edges": [[0, 0]]}',
         ],
         ids=["edges-int", "edges-object", "exceptional-int",
              "exceptional-list-mark", "exceptional-bool-mark", "bool-id",
-             "bool-weight", "bool-edge-end"],
+             "bool-weight", "bool-edge-end", "unknown-field",
+             "unknown-vertex-field"],
     )
     def test_bad_field_types(self, tmp_path, capsys, text):
         path = tmp_path / "bad.graph"
@@ -218,33 +222,81 @@ class TestCensus:
         assert code == 1
 
 
-# sha256 of stdout, recorded before census and analyze shared one record
-# builder; the analyze graph files are the conftest fixtures
+# sha256 of stdout in table and json-lines format, each recorded before a
+# change that rewrote the command's code path; the graph files are the
+# conftest fixtures
+FORMATS = ("table", "json-lines")
 GOLDEN = [
-    (["census", "--genus", "2", "--degree=-2..4"], None, "table",
-     "f92353a2302eb5ca2a9bd47f80fd7251fbb5de9fddef8676801bc0fc9adef079"),
-    (["census", "--genus", "2", "--degree=-2..4"], None, "json-lines",
+    ("census-2", ["census", "--genus", "2", "--degree=-2..4"], None,
+     "f92353a2302eb5ca2a9bd47f80fd7251fbb5de9fddef8676801bc0fc9adef079",
      "8ce7dfb1675130c40489183ef0a3e601e115876fdda428700eb84e68b5528d4b"),
-    (["census", "--genus", "3", "--degree=0..5"], None, "table",
-     "fd183be2b00891b6a6d9da931f8a383d3dffc9eabbe21a4d98aa28d2cf9c2363"),
-    (["census", "--genus", "3", "--degree=0..5"], None, "json-lines",
+    ("census-3", ["census", "--genus", "3", "--degree=0..5"], None,
+     "fd183be2b00891b6a6d9da931f8a383d3dffc9eabbe21a4d98aa28d2cf9c2363",
      "4e0a41893bbab8a1c7c87ca14b2c637125c771529a8cd8659eb254afc58fcbba"),
-    (["analyze", "--degree=-3..8"], "theta", "table",
-     "188df543a4d0d2ce901f83a7c66e3351e3532ef02f0df8d4f141f4af02094106"),
-    (["analyze", "--degree=-3..8"], "theta", "json-lines",
+    ("analyze-theta", ["analyze", "--degree=-3..8"], "theta",
+     "188df543a4d0d2ce901f83a7c66e3351e3532ef02f0df8d4f141f4af02094106",
      "cbdec7a17ba69898332a85c4c97e5573d114e8df2659cae35dcc08044f63a053"),
-    (["analyze", "--degree=-3..8"], "theta_pendant", "table",
-     "f0f3362900cb3fa7f9197ef2ecf85ddf6d608ecd6279607be02b8d6e0044fbba"),
-    (["analyze", "--degree=-3..8"], "theta_pendant", "json-lines",
+    ("analyze-theta_pendant", ["analyze", "--degree=-3..8"], "theta_pendant",
+     "f0f3362900cb3fa7f9197ef2ecf85ddf6d608ecd6279607be02b8d6e0044fbba",
      "ca68f2e9882607c8f8307251f197366b4e3984499be462f3b9238651302b099c"),
+    ("validate-theta", ["validate"], "theta",
+     "818746365918c773c2f090fef41f2c51429bdeffb5e194415f093bafa818e9ba",
+     "87ae8be1013cfeeddb6c833e5d78c0bf41b9d7f755fb9ea3fc2b1d17bf559a4c"),
+    ("class-group-theta", ["class-group"], "theta",
+     "751691dbcfff23ea61944d2ccdf4e98cdacea044aad6c59edd0363bf5a2f436b",
+     "3bcb96a86d7e893b0ed5d97b6b4d723f83d9edb02ed1beef67964041582c257e"),
+    ("balanced-theta", ["balanced", "--degree=-1..3"], "theta",
+     "c332e0ab7f1ed5787e8fd61d47421e72915f854b307004d85cf099f259796aa7",
+     "4f9c81df56b7b6a3b75c4357a9579a00b50cf5570608c9d537b62b38d754f5f4"),
+    ("neron-all-theta", ["neron", "--degree=-1..3", "--route", "all"], "theta",
+     "73dbc2f1decf96d96e850c627fe75ac89589d33299a99c8abe8765aa94d836b4",
+     "271be71253d3d47da1ccc5bcd18bbcc26cf069fff25252cdf4770d59dca86bdd"),
+    ("neron-criterion-theta",
+     ["neron", "--degree=-1..3", "--route", "criterion"], "theta",
+     "b6de7fe461128d046d31989814a0e970b197fe8c17e789f529e576b2a5c70481",
+     "a0dd40fe9de0eac7e53a219a1e04baa0b29a65e0e7c19fa7933c29dff0aadcfc"),
+    ("validate-theta_pendant", ["validate"], "theta_pendant",
+     "e256b493a9d47a50e34988d380eae76d2a556bf6e0165af6be9a160063337405",
+     "02e5a92e075b70d2fb90fc123ac4f56df892636fe4ef0b8b5a10dbd1bb7e2748"),
+    ("class-group-theta_pendant", ["class-group"], "theta_pendant",
+     "751691dbcfff23ea61944d2ccdf4e98cdacea044aad6c59edd0363bf5a2f436b",
+     "3bcb96a86d7e893b0ed5d97b6b4d723f83d9edb02ed1beef67964041582c257e"),
+    ("balanced-theta_pendant", ["balanced", "--degree=-1..3"], "theta_pendant",
+     "cf9928598b63f224add230d2eaeb41f355b6ebeca456eba29b2f2d498e07b488",
+     "f068467b6db3b519ffa9db5d36d0a585d1dfb687046a1301c30bd680273bb72d"),
+    ("neron-all-theta_pendant",
+     ["neron", "--degree=-1..3", "--route", "all"], "theta_pendant",
+     "088958164100bd70b800e05184b0289da46156eb2dbe4b9a726ad6ec924a8722",
+     "799d816a387c2a42d555c920d5aff30287277cfc0b24841888dbf70264d2070a"),
+    ("neron-criterion-theta_pendant",
+     ["neron", "--degree=-1..3", "--route", "criterion"], "theta_pendant",
+     "2a8be0b74b1bdfefae20e9672c2e056e09bd19b0d841f502f9b4a3c5eda87384",
+     "4ea89f295dbfd94faf84971b91ce98fe250522e2b1cadcc7436228300f4f0621"),
+    ("vine-scan-3", ["vine-scan", "--genus", "3", "--degree=0..4"], None,
+     "f987a67f9e86b69dae8f8c089dc2d546bb1bb8c6f02711bea13dcd13666b26df",
+     "927ca11483a7cff188dbd352137dc9b8922f5e86574263b969a0b546740725f0"),
+    ("vine-scan-1", ["vine-scan", "--genus", "1", "--degree", "0"], None,
+     "600f75d6de20493935d612e86a6c6c119cae9736672f8f752349f09954e92f43",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("codim-report-3", ["codim-report", "--genus", "3", "--degree=1..4"], None,
+     "2810d7744528247351a68134d1b8cbcf9d9f010a3bedb961ca0d1aeb4fddbadf",
+     "b1ebd2a33cf02d15861632fc487a960f0c11c5fa3eed458c02a7a6a056d19c51"),
+    ("audit-2", ["audit", "--genus", "2", "--degree=0..3"], None,
+     "93b1e658c42eb6735c1e1165090d6146bf3609162620e892424dbfd4f2a41ae0",
+     "93cc157885dfcc0c9e3f79983021d9be7c57799a448ac5ffc0d7a1a17bae506b"),
+]
+GOLDEN_CASES = [
+    (name, argv, fixture, fmt, digest)
+    for name, argv, fixture, *digests in GOLDEN
+    for fmt, digest in zip(FORMATS, digests)
 ]
 
 
 class TestGoldenOutput:
     @pytest.mark.parametrize(
         "argv,fixture,fmt,digest",
-        GOLDEN,
-        ids=[f"{a[0]}-{f or a[2]}-{fmt}" for a, f, fmt, _ in GOLDEN],
+        [case[1:] for case in GOLDEN_CASES],
+        ids=[f"{name}-{fmt}" for name, _, _, fmt, _ in GOLDEN_CASES],
     )
     def test_stdout_digest(self, request, tmp_path, argv, fixture, fmt, digest):
         argv = argv + ["--format", fmt]
@@ -306,9 +358,11 @@ class TestAudit:
 
 
 class TestContract:
-    def test_seed_rejected(self, theta_file):
-        code, _ = invoke(["validate", "--seed", "1", theta_file])
-        assert code == 1
+    def test_seed_rejected(self, theta_file, capsys):
+        code, out = invoke(["validate", "--seed", "1", theta_file])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "--seed" in err
 
     def test_entry_point(self, theta_file):
         proc = subprocess.run(
@@ -357,6 +411,19 @@ class TestUsageErrors:
         )
         assert code == 0
         assert {r["degree"] for r in json_lines(out)} == {-2, -1, 0}
+
+    def test_parser_built_once(self, theta_file, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert invoke(["validate", theta_file])[0] == 0
+        assert invoke(["neron", "--degree", "1", theta_file])[0] == 0
+        assert built == []
 
     def test_entry_point_exit_status(self):
         proc = subprocess.run(

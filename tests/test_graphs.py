@@ -9,13 +9,19 @@ from neronjac import (
     WeightedGraph,
     blow_up,
     census,
+    class_group,
     connected_subcurves,
     contract_separating,
+    extremal_pair,
     graph_from_dict,
     graph_to_dict,
+    is_balanced,
     is_isomorphic,
+    is_strictly_balanced,
     is_tree_like,
     load_graph,
+    push_down,
+    s_of_mu,
     separating_edges,
     subcurve_stats,
     validate,
@@ -344,3 +350,40 @@ class TestFileFormat:
     def test_malformed_rejected(self, data):
         with pytest.raises(GraphFormatError):
             graph_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"vertices": [{"id": 0, "weight": 2}], "edgse": [[0, 0]]}, "edgse"),
+            ({"vertices": [{"id": 0, "wieght": 2}]}, "wieght"),
+            ({"vertices": [{"id": 0, "weight": 2, "genus": 1}]}, "genus"),
+        ],
+    )
+    def test_unknown_field_named(self, data, key):
+        with pytest.raises(GraphFormatError, match=f"unknown .*'{key}'"):
+            graph_from_dict(data)
+
+
+class TestMultidegreeCheck:
+    """Every entry point that takes a multidegree rejects non-integer
+    entries instead of truncating them to another multidegree."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            is_balanced,
+            is_strictly_balanced,
+            s_of_mu,
+            lambda g, md: push_down(g, (), md),
+            extremal_pair,
+            lambda g, md: class_group(g).same_class(md, (0, 0)),
+        ],
+        ids=["is_balanced", "is_strictly_balanced", "s_of_mu", "push_down",
+             "extremal_pair", "same_class"],
+    )
+    @pytest.mark.parametrize(
+        "md", [(0.9, 0.2), (True, False), ("1", "0")], ids=["float", "bool", "str"]
+    )
+    def test_non_integer_entries_rejected(self, theta, call, md):
+        with pytest.raises(ValueError, match="must be integers"):
+            call(theta, md)

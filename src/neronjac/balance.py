@@ -14,8 +14,10 @@ strictly balanced when it has no non-exempt equality subcurve.
 Every comparison is done on integers after clearing denominators by
 2*(2g-2), in _SubcurveBounds: scale * deg_Z >= t_Z.  Strict balance is
 balance with the threshold of every non-exempt subcurve raised by one,
-scale * deg_Z >= t_Z + 1, so the enumeration kernel decides both.  The
-public bound m_Z(d) is an exact Fraction.
+scale * deg_Z >= t_Z + 1.  scale * deg_Z is a multiple of scale, so the
+raise changes the test only where scale divides t_Z (m_Z(d) is an
+integer); only those raised thresholds are checked.  The public bound
+m_Z(d) is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -125,9 +127,21 @@ class _SubcurveBounds:
         self.thresholds = [_threshold(genus, d, c.w, c.delta) for c in self.checks]
         self.scale = 2 * (2 * genus - 2)
 
-    def raised(self) -> list[int]:
-        """The thresholds of strict balance: each non-exempt one plus 1."""
-        return [t + (not c.exempt) for c, t in zip(self.checks, self.thresholds)]
+    def raised(self) -> list[tuple[int, int]]:
+        """(mask, threshold + 1) of each non-exempt subcurve whose threshold
+        scale * deg_Z can meet: a balanced multidegree is strictly balanced
+        iff it also meets these."""
+        scale = self.scale
+        return [
+            (c.mask, t + 1)
+            for c, t in zip(self.checks, self.thresholds)
+            if not c.exempt and t % scale == 0
+        ]
+
+    def meets(self, md, bounds) -> bool:
+        """scale * deg_Z >= threshold for every (mask, threshold) of bounds."""
+        scale = self.scale
+        return all(scale * _mask_sum(md, mask) >= t for mask, t in bounds)
 
     def equality_subcurves(self, md) -> list[frozenset[int]]:
         """The vertex sets of the equality subcurves of md, in mask order."""
@@ -145,11 +159,10 @@ def _meets_bounds(g: WeightedGraph, multidegree, strict: bool) -> bool:
     if any(md[v] != 1 for v in g.exceptional):
         return False
     bounds = _SubcurveBounds(g, genus, sum(md))
-    thresholds = bounds.raised() if strict else bounds.thresholds
-    return all(
-        bounds.scale * _mask_sum(md, c.mask) >= t
-        for c, t in zip(bounds.checks, thresholds)
-    )
+    masks = (c.mask for c in bounds.checks)
+    if not bounds.meets(md, zip(masks, bounds.thresholds)):
+        return False
+    return not strict or bounds.meets(md, bounds.raised())
 
 
 def is_balanced(g: WeightedGraph, multidegree) -> bool:
@@ -185,6 +198,11 @@ class BalancedSet:
     @property
     def strict_size(self) -> int:
         return len(self.strict_members)
+
+    @property
+    def d_general(self) -> bool:
+        """Every balanced member is strictly balanced."""
+        return self.members == self.strict_members
 
 
 def _vertex_bounds(
@@ -231,11 +249,8 @@ def enumerate_balanced(g: WeightedGraph, d: int) -> BalancedSet:
     members = tuple(
         _kernel.enumerate_box(lows, highs, d, masks, bounds.thresholds, bounds.scale)
     )
-    strict = ()
-    if members:  # strictly balanced implies balanced
-        strict = tuple(
-            _kernel.enumerate_box(lows, highs, d, masks, bounds.raised(), bounds.scale)
-        )
+    raised = bounds.raised()
+    strict = tuple(md for md in members if bounds.meets(md, raised))
     return BalancedSet(degree=d, members=members, strict_members=strict)
 
 
@@ -279,8 +294,7 @@ def is_d_general(
     verdict this call belongs to."""
     if not g.is_stable:
         raise ValueError("d-generality is defined for stable graphs")
-    bs = _verdict_sets(d, sets)(g)
-    return bs.members == bs.strict_members
+    return _verdict_sets(d, sets)(g).d_general
 
 
 def is_weakly_d_general(

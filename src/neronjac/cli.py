@@ -218,7 +218,7 @@ def cmd_vine_scan(args):
             "n_balanced": bs.size,
             "n_strict": bs.strict_size,
             "class_group_order": classgroup.class_group(g).order,
-            "d_special": bs.members != bs.strict_members,
+            "d_special": not bs.d_general,
         }
         for d in parse_degrees(args.degree)
         for v, g, bs in locus.balanced_vines(args.genus, d, args.min_delta)

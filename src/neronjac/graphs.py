@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -471,10 +472,15 @@ def _is_int(x) -> bool:
 
 
 def check_multidegree(multidegree, n_vertices: int) -> tuple[int, ...]:
-    """The multidegree as a tuple, which must hold one integer per vertex."""
+    """The multidegree as a tuple of ints, one per vertex.  Entries must be
+    exact integers (any type with __index__), and not bool."""
     md = tuple(multidegree)
-    if not all(_is_int(x) for x in md):
-        raise ValueError(f"multidegree entries must be integers, got {md!r}")
+    try:
+        if any(isinstance(x, bool) for x in md):
+            raise TypeError
+        md = tuple(map(operator.index, md))
+    except TypeError:
+        raise ValueError(f"multidegree entries must be integers, got {md!r}") from None
     if len(md) != n_vertices:
         raise ValueError(
             f"multidegree has {len(md)} entries, graph has {n_vertices} vertices"

@@ -71,7 +71,7 @@ def d_special_vine_scan(genus: int, d: int, min_delta: int = 1) -> list[VineCurv
     return [
         v
         for v, _, bs in balanced_vines(genus, d, min_delta)
-        if bs.members != bs.strict_members
+        if not bs.d_general
     ]
 
 

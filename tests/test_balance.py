@@ -19,7 +19,8 @@ from neronjac import (
     m_lower_bound,
     separating_edges,
 )
-from neronjac.balance import _vertex_bounds
+from neronjac import _kernel_py
+from neronjac.balance import _balance_checks, _threshold, _vertex_bounds
 from oracles import brute_force_balanced, subcurve_w_delta
 
 
@@ -143,6 +144,23 @@ class TestEnumerateBalanced:
                     bs = enumerate_balanced(hat, d)
                     assert sorted(bs.members) == sorted(want_b)
                     assert sorted(bs.strict_members) == sorted(want_s)
+
+    def test_strict_is_balance_at_raised_thresholds(self):
+        """The strict members are what the kernel finds with the threshold
+        of every non-exempt subcurve raised by one, in the same order,
+        although only the raised thresholds divisible by the scale are
+        tested."""
+        for g in _bound_cases():
+            genus = g.genus
+            scale = 2 * (2 * genus - 2)
+            checks = _balance_checks(g)
+            masks = [c.mask for c in checks]
+            for d in range(-genus, 3 * genus + 1):
+                lows, highs = _vertex_bounds(g, genus, d)
+                raised = [_threshold(genus, d, c.w, c.delta) + (not c.exempt)
+                          for c in checks]
+                want = _kernel_py.enumerate_box(lows, highs, d, masks, raised, scale)
+                assert enumerate_balanced(g, d).strict_members == tuple(want)
 
 
 def _bound_cases():

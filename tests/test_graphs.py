@@ -364,26 +364,44 @@ class TestFileFormat:
             graph_from_dict(data)
 
 
+class _Index:
+    """An exact integer that is not an int, like numpy.int64."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+MULTIDEGREE_CALLS = pytest.mark.parametrize(
+    "call",
+    [
+        is_balanced,
+        is_strictly_balanced,
+        s_of_mu,
+        lambda g, md: push_down(g, (), md),
+        extremal_pair,
+        lambda g, md: class_group(g).same_class(md, (0, 1)),
+    ],
+    ids=["is_balanced", "is_strictly_balanced", "s_of_mu", "push_down",
+         "extremal_pair", "same_class"],
+)
+
+
 class TestMultidegreeCheck:
     """Every entry point that takes a multidegree rejects non-integer
-    entries instead of truncating them to another multidegree."""
+    entries instead of truncating them to another multidegree, and takes
+    any exact integer type as the int it stands for."""
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            is_balanced,
-            is_strictly_balanced,
-            s_of_mu,
-            lambda g, md: push_down(g, (), md),
-            extremal_pair,
-            lambda g, md: class_group(g).same_class(md, (0, 0)),
-        ],
-        ids=["is_balanced", "is_strictly_balanced", "s_of_mu", "push_down",
-             "extremal_pair", "same_class"],
-    )
+    @MULTIDEGREE_CALLS
     @pytest.mark.parametrize(
         "md", [(0.9, 0.2), (True, False), ("1", "0")], ids=["float", "bool", "str"]
     )
     def test_non_integer_entries_rejected(self, theta, call, md):
         with pytest.raises(ValueError, match="must be integers"):
             call(theta, md)
+
+    @MULTIDEGREE_CALLS
+    def test_index_types_accepted(self, theta, call):
+        assert call(theta, (_Index(1), _Index(0))) == call(theta, (1, 0))

@@ -191,8 +191,8 @@ class TestCompiledMatchesPure:
                 assert compiled == pure
 
     def test_strict_sets_identical_through_range_guard(self, speedups, monkeypatch):
-        """Strict members come from the kernel at raised thresholds, so the
-        selected compiled kernel decides strictness too."""
+        """Through the range guard the compiled kernel gives the same
+        balanced and strict sets as the pure one on blow-ups too."""
         guarded = _kernel.range_guarded(speedups)
         for g in census(3, 4):
             bridges = sorted(separating_edges(g))

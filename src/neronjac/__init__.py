@@ -22,27 +22,21 @@ from .balance import (
 from .classgroup import (
     ClassGroup,
     class_group,
-    class_representatives,
     intersection_matrix,
-    same_class,
     smith_normal_form,
 )
 from .graphs import (
     GraphFormatError,
-    Subcurve,
     WeightedGraph,
     blow_up,
     census,
-    connected_subcurves,
     contract_separating,
     graph_from_dict,
     graph_id,
     graph_to_dict,
-    is_isomorphic,
     is_tree_like,
     load_graph,
     separating_edges,
-    subcurve_stats,
     validate,
 )
 from .locus import (
@@ -52,7 +46,6 @@ from .locus import (
     codim_report,
     d_special_vine_scan,
     gcd_remark_audit,
-    is_d_special,
     predicted_codim,
     vine,
 )
@@ -63,11 +56,9 @@ from .neron import (
     Stratum,
     TheoremCheckError,
     UniquenessError,
-    check_g_minus_1,
     component_count,
     extremal_pair,
     is_neron_type,
-    push_down,
     s_of_mu,
     strata_index,
 )

@@ -11,6 +11,12 @@ which it meets its bound, deg_Z = m_Z(d).  Z is exempt when its boundary
 nodes all lie on exceptional components.  A balanced multidegree is
 strictly balanced when it has no non-exempt equality subcurve.
 
+The subcurves of a graph are held in one table, _balance_checks(g),
+computed once per graph: one entry per connected proper subcurve, holding
+its vertex mask, w_Z, delta_Z, the edge mask of its boundary Z cap Z^c, and
+whether it is exempt.  Balance, strictness, the equality subcurves, S(mu)
+and the boundary criterion all read it.
+
 Every comparison is done on integers after clearing denominators by
 2*(2g-2), in _SubcurveBounds: scale * deg_Z >= t_Z.  Strict balance is
 balance with the threshold of every non-exempt subcurve raised by one,
@@ -28,12 +34,10 @@ from functools import lru_cache
 
 from . import _kernel
 from .graphs import (
-    Subcurve,
     WeightedGraph,
     check_multidegree,
     connected_subset_masks,
     contract_separating,
-    subcurve_stats,
 )
 
 
@@ -48,17 +52,43 @@ def _require_genus(g: WeightedGraph) -> int:
     return genus
 
 
-def _vertices(z) -> frozenset[int]:
-    if isinstance(z, Subcurve):
-        return z.vertices
-    return frozenset(z)
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _subcurve(g: WeightedGraph, mask: int) -> tuple[int, int, int]:
+    """(w, delta, boundary) of the subcurve on the vertices of mask.
+
+    boundary is the mask of the indices of the edges with exactly one end
+    in Z (a loop never is one), delta their number, and w = 2 g_Z - 2 +
+    delta with g_Z the arithmetic genus of Z: its weights plus its internal
+    edges (loops included) minus its vertices plus one.
+    """
+    vertices = _bits(mask)
+    internal = boundary = 0
+    for i, (u, v) in enumerate(g.edges):
+        ends = (mask >> u & 1) + (mask >> v & 1)
+        if ends == 2:
+            internal += 1
+        elif ends == 1:
+            boundary |= 1 << i
+    genus_z = sum(g.weights[v] for v in vertices) + internal - len(vertices) + 1
+    delta = boundary.bit_count()
+    return 2 * genus_z - 2 + delta, delta, boundary
 
 
 def m_lower_bound(g: WeightedGraph, z, d: int) -> Fraction:
-    """Exact lower bound m_Z(d) for the degree of a subcurve Z."""
+    """Exact lower bound m_Z(d) for the degree of the subcurve on the
+    nonempty vertex set z."""
     genus = _require_genus(g)
-    stats = subcurve_stats(g, _vertices(z))
-    return Fraction(d * stats.w, 2 * genus - 2) - Fraction(stats.delta, 2)
+    zs = frozenset(z)
+    if not zs:
+        raise ValueError("subcurve must be nonempty")
+    if any(not 0 <= v < g.n_vertices for v in zs):
+        raise ValueError("subcurve references a missing vertex")
+    w, delta, _ = _subcurve(g, sum(1 << v for v in zs))
+    return Fraction(d * w, 2 * genus - 2) - Fraction(delta, 2)
 
 
 def _m_of_set(g: WeightedGraph, vs, d: int) -> Fraction:
@@ -73,29 +103,28 @@ def _m_of_set(g: WeightedGraph, vs, d: int) -> Fraction:
     return m_lower_bound(g, vs, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _SubsetCheck:
-    mask: int
+    mask: int  # vertices of Z
     w: int
     delta: int
+    boundary: int  # edges with one end in Z
     exempt: bool  # boundary entirely on exceptional components
-
-
-def _mask_vertices(mask: int) -> frozenset[int]:
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 @lru_cache(maxsize=None)
 def _balance_checks(g: WeightedGraph) -> tuple[_SubsetCheck, ...]:
+    """The subcurve table of g: one check per connected proper subcurve,
+    in mask order."""
+    on_exceptional = 0
+    for i, (u, v) in enumerate(g.edges):
+        if u in g.exceptional or v in g.exceptional:
+            on_exceptional |= 1 << i
     checks = []
     for mask in connected_subset_masks(g, proper=True):
-        vs = _mask_vertices(mask)
-        stats = subcurve_stats(g, vs)
-        exempt = all(
-            g.edges[i][0] in g.exceptional or g.edges[i][1] in g.exceptional
-            for i in g.boundary_edges(vs)
-        )
-        checks.append(_SubsetCheck(mask, stats.w, stats.delta, exempt))
+        w, delta, boundary = _subcurve(g, mask)
+        exempt = not boundary & ~on_exceptional
+        checks.append(_SubsetCheck(mask, w, delta, boundary, exempt))
     return tuple(checks)
 
 
@@ -143,11 +172,11 @@ class _SubcurveBounds:
         scale = self.scale
         return all(scale * _mask_sum(md, mask) >= t for mask, t in bounds)
 
-    def equality_subcurves(self, md) -> list[frozenset[int]]:
-        """The vertex sets of the equality subcurves of md, in mask order."""
+    def equalities(self, md) -> list[_SubsetCheck]:
+        """The checks of the equality subcurves of md, in mask order."""
         scale = self.scale
         return [
-            _mask_vertices(c.mask)
+            c
             for c, t in zip(self.checks, self.thresholds)
             if scale * _mask_sum(md, c.mask) == t
         ]
@@ -179,7 +208,10 @@ def equality_subcurves(g: WeightedGraph, multidegree) -> list[frozenset[int]]:
     balanced."""
     genus = _require_genus(g)
     md = check_multidegree(multidegree, g.n_vertices)
-    return _SubcurveBounds(g, genus, sum(md)).equality_subcurves(md)
+    return [
+        frozenset(_bits(c.mask))
+        for c in _SubcurveBounds(g, genus, sum(md)).equalities(md)
+    ]
 
 
 @dataclass(frozen=True)

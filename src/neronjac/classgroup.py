@@ -205,15 +205,3 @@ def class_group(g: WeightedGraph) -> ClassGroup:
         u=tuple(tuple(row) for row in u),
         uinv=tuple(tuple(row) for row in uinv),
     )
-
-
-def same_class(g: WeightedGraph, d1, d2) -> bool:
-    """True iff d1 - d2 lies in the lattice spanned by the intersection
-    matrix columns (same total degree required)."""
-    return class_group(g).same_class(d1, d2)
-
-
-def class_representatives(g: WeightedGraph, d: int) -> list[tuple[int, ...]]:
-    """Exactly order(class_group) pairwise inequivalent multidegrees of total
-    degree d, in deterministic order."""
-    return class_group(g).representatives(d)

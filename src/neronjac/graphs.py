@@ -174,31 +174,6 @@ class WeightedGraph:
                 return False
         return True
 
-    # -- convenience -------------------------------------------------------
-
-    def boundary_edges(self, vertex_set) -> frozenset[int]:
-        """Indices of edges with exactly one endpoint in vertex_set."""
-        zs = set(vertex_set)
-        return frozenset(
-            i for i, (u, v) in enumerate(self.edges) if (u in zs) != (v in zs)
-        )
-
-
-@dataclass(frozen=True)
-class Subcurve:
-    """A nonempty vertex subset with its induced statistics.
-
-    g is the arithmetic genus of the induced subcurve (sum of weights plus
-    internal edges minus vertices plus one; loops count as internal edges),
-    delta the number of edges to the complement (loops never counted), and
-    w = 2g - 2 + delta, the relative canonical degree.
-    """
-
-    vertices: frozenset[int]
-    g: int
-    delta: int
-    w: int
-
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -220,18 +195,6 @@ def validate(g: WeightedGraph) -> Diagnostics:
         stable=g.is_stable,
         quasistable=g.is_quasistable,
     )
-
-
-def subcurve_stats(g: WeightedGraph, vertex_set) -> Subcurve:
-    zs = frozenset(vertex_set)
-    if not zs:
-        raise ValueError("subcurve must be nonempty")
-    if any(not 0 <= v < g.n_vertices for v in zs):
-        raise ValueError("subcurve references a missing vertex")
-    internal = sum(1 for u, v in g.edges if u in zs and v in zs)
-    delta = sum(1 for u, v in g.edges if (u in zs) != (v in zs))
-    gz = sum(g.weights[v] for v in zs) + internal - len(zs) + 1
-    return Subcurve(vertices=zs, g=gz, delta=delta, w=2 * gz - 2 + delta)
 
 
 def _reach(adj, start: int, within: int = -1) -> int:
@@ -263,20 +226,6 @@ def connected_subset_masks(g: WeightedGraph, proper: bool = True) -> list[int]:
         for m in range(1, top + 1)
         if not (proper and m == top) and _mask_connected(g, m)
     ]
-
-
-def connected_subcurves(g: WeightedGraph, proper: bool = True):
-    """Yield every connected subcurve, ordered lexicographically on the
-    sorted vertex index tuples."""
-    if not g.is_connected:
-        raise ValueError("graph must be connected")
-    n = g.n_vertices
-    subsets = [
-        tuple(v for v in range(n) if mask >> v & 1)
-        for mask in connected_subset_masks(g, proper)
-    ]
-    for vs in sorted(subsets):
-        yield subcurve_stats(g, vs)
 
 
 def separating_edges(g: WeightedGraph) -> frozenset[int]:
@@ -384,18 +333,6 @@ def canonical_form(g: WeightedGraph):
         if best is None or cand < best:
             best = cand
     return best
-
-
-def is_isomorphic(a: WeightedGraph, b: WeightedGraph) -> bool:
-    """Weight-preserving multigraph isomorphism (multiplicities, loops and
-    exceptional marks respected)."""
-    if a.n_vertices != b.n_vertices or a.n_edges != b.n_edges:
-        return False
-    if sorted(_vertex_invariant(a, v) for v in range(a.n_vertices)) != sorted(
-        _vertex_invariant(b, v) for v in range(b.n_vertices)
-    ):
-        return False
-    return canonical_form(a) == canonical_form(b)
 
 
 def graph_id(g: WeightedGraph) -> str:

@@ -43,15 +43,12 @@ def vine(g1: int, g2: int, delta: int) -> WeightedGraph:
     return g
 
 
-def is_d_special(g: WeightedGraph, d: int) -> bool:
-    """A stable graph is d-special when it is not d-general."""
-    return not is_d_general(g, d)
-
-
 def balanced_vines(genus: int, d: int, min_delta: int = 1):
     """(parameters, graph, balanced set at degree d) of every stable vine
     curve of the given genus with at least min_delta nodes, ordered by
     (g1, g2)."""
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
     for g1 in range(genus + 1):
         for g2 in range(g1, genus + 1):
             delta = genus - g1 - g2 + 1
@@ -66,8 +63,6 @@ def balanced_vines(genus: int, d: int, min_delta: int = 1):
 def d_special_vine_scan(genus: int, d: int, min_delta: int = 1) -> list[VineCurve]:
     """All stable vine parameter triples of the given genus, with at least
     min_delta nodes, whose graph is d-special; ordered by (g1, g2)."""
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
     return [
         v
         for v, _, bs in balanced_vines(genus, d, min_delta)

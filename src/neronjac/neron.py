@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 from .balance import (
     BalancedSets,
+    _bits,
     _require_genus,
     _SubcurveBounds,
     _verdict_sets,
     enumerate_balanced,
-    equality_subcurves,
     is_balanced,
     is_weakly_d_general,
 )
@@ -29,7 +29,6 @@ from .graphs import (
     WeightedGraph,
     blow_up,
     check_multidegree,
-    is_tree_like,
     separating_edges,
 )
 
@@ -52,28 +51,10 @@ def s_of_mu(g: WeightedGraph, multidegree) -> frozenset[int]:
     md = check_multidegree(multidegree, g.n_vertices)
     if not is_balanced(g, md):
         raise ValueError("multidegree is not balanced")
-    out: set[int] = set()
-    for vs in equality_subcurves(g, md):
-        out |= g.boundary_edges(vs)
-    return frozenset(out)
-
-
-def push_down(g: WeightedGraph, edge_subset, hat_multidegree, side: str = "low"):
-    """Contract the exceptional vertices of blow_up(g, edge_subset) back
-    into g, adding each exceptional degree to one endpoint of the original
-    edge: the lower vertex index for side="low", the higher for side="high".
-    """
-    if side not in ("low", "high"):
-        raise ValueError("side must be 'low' or 'high'")
-    subset = sorted(set(edge_subset))
-    n = g.n_vertices
-    md = check_multidegree(hat_multidegree, n + len(subset))
-    out = list(md[:n])
-    for k, i in enumerate(subset):
-        u, v = g.edges[i]  # u <= v by normalization
-        target = u if side == "low" else v
-        out[target] += md[n + k]
-    return tuple(out)
+    out = 0
+    for c in _SubcurveBounds(g, g.genus, sum(md)).equalities(md):
+        out |= c.boundary
+    return frozenset(_bits(out))
 
 
 @dataclass(frozen=True)
@@ -178,14 +159,14 @@ def _route_count(count: int, order: int) -> bool:
 
 
 def _route_criterion(g: WeightedGraph, d: int, sets: BalancedSets) -> bool:
-    # every equality subcurve (balance.equality_subcurves) of every balanced
-    # multidegree must have its boundary inside the bridge set
-    bridges = separating_edges(g)
+    # every equality subcurve of every balanced multidegree must have its
+    # boundary inside the bridge set
+    bridges = sum(1 << i for i in separating_edges(g))
     bounds = _SubcurveBounds(g, g.genus, d)
     return all(
-        g.boundary_edges(vs) <= bridges
+        not c.boundary & ~bridges
         for md in sets(g).members
-        for vs in bounds.equality_subcurves(md)
+        for c in bounds.equalities(md)
     )
 
 
@@ -242,11 +223,3 @@ def is_neron_type(
         component_count=count,
         class_group_order=order,
     )
-
-
-def check_g_minus_1(g: WeightedGraph) -> tuple[bool, bool]:
-    """Both sides of the degree g-1 dichotomy: the Neron verdict at
-    d = genus - 1 and tree-likeness.  Their equality is asserted by the
-    test suite, not here."""
-    verdict = is_neron_type(g, g.genus - 1, route="all").verdict
-    return verdict, is_tree_like(g)

@@ -176,6 +176,25 @@ def _bound_cases():
     yield WeightedGraph((0,), ((0, 0), (0, 0), (0, 0)))
 
 
+class TestSubcurveTable:
+    def test_entries_against_oracle(self):
+        # w, delta, boundary and exemption of every entry, recomputed from
+        # the edge list
+        for g in _bound_cases():
+            for c in _balance_checks(g):
+                zs = {v for v in range(g.n_vertices) if c.mask >> v & 1}
+                boundary = {
+                    i for i, (u, v) in enumerate(g.edges) if (u in zs) != (v in zs)
+                }
+                exempt = all(
+                    g.edges[i][0] in g.exceptional or g.edges[i][1] in g.exceptional
+                    for i in boundary
+                )
+                got = {i for i in range(g.n_edges) if c.boundary >> i & 1}
+                assert (c.w, c.delta) == subcurve_w_delta(g.weights, g.edges, zs)
+                assert (got, c.exempt) == (boundary, exempt), (g, c)
+
+
 class TestVertexBounds:
     def test_integer_bounds_match_fraction_bounds(self):
         # lo_v = ceil(m_{v}(d)) from the singleton, hi_v = d - ceil(m_{V-v}(d))

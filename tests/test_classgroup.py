@@ -9,13 +9,11 @@ from neronjac import (
     WeightedGraph,
     census,
     class_group,
-    class_representatives,
     contract_separating,
     intersection_matrix,
-    is_isomorphic,
-    same_class,
     smith_normal_form,
 )
+from neronjac.graphs import canonical_form
 from oracles import spanning_tree_count
 
 
@@ -163,7 +161,7 @@ class TestClassGroup:
     def test_isomorphism_invariant(self):
         a = WeightedGraph((1, 0, 0), ((0, 1), (1, 2), (1, 2), (0, 2)))
         b = WeightedGraph((0, 0, 1), ((1, 2), (0, 1), (0, 1), (0, 2)))
-        assert is_isomorphic(a, b)
+        assert canonical_form(a) == canonical_form(b)
         assert (
             class_group(a).invariant_factors == class_group(b).invariant_factors
         )
@@ -176,60 +174,63 @@ class TestClassGroup:
 
 class TestSameClass:
     def test_reflexive(self, theta):
-        assert same_class(theta, (0, 1), (0, 1))
+        assert class_group(theta).same_class((0, 1), (0, 1))
 
     def test_theta_lattice_shift(self, theta):
-        assert same_class(theta, (-1, 2), (2, -1))
+        assert class_group(theta).same_class((-1, 2), (2, -1))
 
     def test_theta_distinct(self, theta):
-        assert not same_class(theta, (0, 1), (1, 0))
+        assert not class_group(theta).same_class((0, 1), (1, 0))
 
     def test_total_degree_mismatch_rejected(self, theta):
         with pytest.raises(ValueError):
-            same_class(theta, (0, 1), (0, 2))
+            class_group(theta).same_class((0, 1), (0, 2))
 
     def test_equivalence_relation(self, theta, four_cycle):
         for g in (theta, four_cycle):
+            cg = class_group(g)
             n = g.n_vertices
             box = [md for md in itertools.product(range(-2, 3), repeat=n) if sum(md) == 1]
             for d1 in box[:12]:
                 for d2 in box[:12]:
-                    if same_class(g, d1, d2):
-                        assert same_class(g, d2, d1)
+                    if cg.same_class(d1, d2):
+                        assert cg.same_class(d2, d1)
                         for d3 in box[:12]:
-                            if same_class(g, d2, d3):
-                                assert same_class(g, d1, d3)
+                            if cg.same_class(d2, d3):
+                                assert cg.same_class(d1, d3)
 
 
 class TestRepresentatives:
     def test_theta_degree_one(self, theta):
-        reps = class_representatives(theta, 1)
+        cg = class_group(theta)
+        reps = cg.representatives(1)
         assert len(reps) == 3
         for a, b in itertools.combinations(reps, 2):
-            assert not same_class(theta, a, b)
+            assert not cg.same_class(a, b)
         assert all(sum(r) == 1 for r in reps)
 
     def test_single_vertex(self):
         g = WeightedGraph((2,), ())
-        assert class_representatives(g, 5) == [(5,)]
+        assert class_group(g).representatives(5) == [(5,)]
 
     def test_tree_like_single_class(self, path3):
-        assert len(class_representatives(path3, 3)) == 1
+        assert len(class_group(path3).representatives(3)) == 1
 
     def test_hits_every_class_once(self, four_cycle):
         # brute-force: every total-degree-1 vector in a box is equivalent to
         # exactly one representative
-        reps = class_representatives(four_cycle, 1)
+        cg = class_group(four_cycle)
+        reps = cg.representatives(1)
         assert len(reps) == 4
         for md in itertools.product(range(-2, 3), repeat=4):
             if sum(md) != 1:
                 continue
-            hits = [r for r in reps if same_class(four_cycle, md, r)]
+            hits = [r for r in reps if cg.same_class(md, r)]
             assert len(hits) == 1
 
     def test_canonical_representative_stable(self, theta):
         cg = class_group(theta)
         for md in [(0, 1), (3, -2), (-3, 4), (1, 0)]:
             rep = cg.canonical_representative(md)
-            assert same_class(theta, rep, md)
+            assert cg.same_class(rep, md)
             assert cg.canonical_representative(rep) == rep

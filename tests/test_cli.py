@@ -275,9 +275,6 @@ GOLDEN = [
     ("vine-scan-3", ["vine-scan", "--genus", "3", "--degree=0..4"], None,
      "f987a67f9e86b69dae8f8c089dc2d546bb1bb8c6f02711bea13dcd13666b26df",
      "927ca11483a7cff188dbd352137dc9b8922f5e86574263b969a0b546740725f0"),
-    ("vine-scan-1", ["vine-scan", "--genus", "1", "--degree", "0"], None,
-     "600f75d6de20493935d612e86a6c6c119cae9736672f8f752349f09954e92f43",
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("codim-report-3", ["codim-report", "--genus", "3", "--degree=1..4"], None,
      "2810d7744528247351a68134d1b8cbcf9d9f010a3bedb961ca0d1aeb4fddbadf",
      "b1ebd2a33cf02d15861632fc487a960f0c11c5fa3eed458c02a7a6a056d19c51"),
@@ -326,6 +323,22 @@ class TestVineScan:
             if r["d_special"]
         ]
         assert special == [(0, 0, 4), (0, 1, 3), (1, 1, 2), (1, 2, 1)]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vine-scan", "--genus", "1", "--degree", "0"],
+            ["vine-scan", "--genus", "-3", "--degree", "1"],
+            ["codim-report", "--genus", "1", "--degree", "0"],
+        ],
+        ids=["vine-scan-1", "vine-scan--3", "codim-report-1"],
+    )
+    def test_impossible_genus(self, argv, fmt, capsys):
+        # a vine curve needs genus >= 2: no table, one line on stderr
+        code, out = invoke(argv + ["--format", fmt])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: genus must be at least 2\n"
 
 
 class TestCodimReport:

@@ -10,23 +10,21 @@ from neronjac import (
     blow_up,
     census,
     class_group,
-    connected_subcurves,
     contract_separating,
     extremal_pair,
     graph_from_dict,
     graph_to_dict,
     is_balanced,
-    is_isomorphic,
     is_strictly_balanced,
     is_tree_like,
     load_graph,
-    push_down,
+    m_lower_bound,
     s_of_mu,
     separating_edges,
-    subcurve_stats,
     validate,
 )
-from neronjac.graphs import graph_id
+from neronjac.balance import _subcurve
+from neronjac.graphs import canonical_form, connected_subset_masks, graph_id
 
 
 class TestValidate:
@@ -56,49 +54,52 @@ class TestValidate:
 
 
 class TestSubcurveStats:
+    """(w, delta, boundary mask) of the subcurve on a vertex mask."""
+
     def test_theta_single_vertex(self, theta):
-        z = subcurve_stats(theta, {0})
-        assert (z.g, z.delta, z.w) == (0, 3, 1)
+        # g_Z = 0, all three edges leave Z
+        assert _subcurve(theta, 0b01) == (1, 3, 0b111)
 
     def test_full_set(self, theta):
-        z = subcurve_stats(theta, {0, 1})
-        assert z.delta == 0
-        assert z.w == 2 * theta.genus - 2
+        assert _subcurve(theta, 0b11) == (2 * theta.genus - 2, 0, 0)
 
     def test_bridge_graph_side(self, bridge_graph):
-        z = subcurve_stats(bridge_graph, {0})
-        assert (z.g, z.delta, z.w) == (1, 1, 1)
+        # g_Z = 1, the bridge leaves Z
+        assert _subcurve(bridge_graph, 0b01) == (1, 1, 0b1)
 
     def test_empty_rejected(self, theta):
-        with pytest.raises(ValueError):
-            subcurve_stats(theta, set())
+        with pytest.raises(ValueError, match="nonempty"):
+            m_lower_bound(theta, set(), 1)
+
+    def test_missing_vertex_rejected(self, theta):
+        with pytest.raises(ValueError, match="missing vertex"):
+            m_lower_bound(theta, {0, 2}, 1)
 
     @pytest.mark.parametrize("genus,mv", [(2, 2), (3, 3)])
     def test_complement_identity(self, genus, mv):
-        # w_Z + w_Zc = 2g - 2 and delta_Z = delta_Zc for every proper Z
+        # w_Z + w_Zc = 2g - 2, and Z and Zc share their boundary, for every
+        # proper Z
         for g in census(genus, mv):
-            full = set(range(g.n_vertices))
-            for z in connected_subcurves(g, proper=True):
-                zc = subcurve_stats(g, full - set(z.vertices))
-                assert z.w + zc.w == 2 * g.genus - 2
-                assert z.delta == zc.delta
+            full = (1 << g.n_vertices) - 1
+            for mask in connected_subset_masks(g, proper=True):
+                w, delta, boundary = _subcurve(g, mask)
+                wc, delta_c, boundary_c = _subcurve(g, full ^ mask)
+                assert w + wc == 2 * g.genus - 2
+                assert (delta, boundary) == (delta_c, boundary_c)
 
 
 class TestConnectedSubcurves:
     def test_theta_proper(self, theta):
-        assert len(list(connected_subcurves(theta, proper=True))) == 2
+        assert len(connected_subset_masks(theta, proper=True)) == 2
 
     def test_single_vertex(self):
         g = WeightedGraph((2,), ())
-        assert list(connected_subcurves(g, proper=True)) == []
+        assert connected_subset_masks(g, proper=True) == []
 
     def test_path3(self, path3):
-        found = {tuple(sorted(z.vertices)) for z in connected_subcurves(path3)}
-        assert found == {(0,), (1,), (2,), (0, 1), (1, 2)}
-
-    def test_lexicographic_order(self, path3):
-        seen = [tuple(sorted(z.vertices)) for z in connected_subcurves(path3)]
-        assert seen == sorted(seen)
+        # {0}, {1}, {0, 1}, {2}, {1, 2}, ascending as masks; {0, 2} is not
+        # connected and {0, 1, 2} is not proper
+        assert connected_subset_masks(path3) == [0b001, 0b010, 0b011, 0b100, 0b110]
 
 
 class TestSeparatingEdges:
@@ -233,7 +234,7 @@ class TestBlowUp:
                     if i not in set(subset)
                 ] + [neighbors[v] for v in sorted(hat.exceptional)]
                 rebuilt = WeightedGraph(g.weights, tuple(rebuilt_edges))
-                assert is_isomorphic(rebuilt, g)
+                assert canonical_form(rebuilt) == canonical_form(g)
 
 
 class TestTreeLike:
@@ -257,14 +258,13 @@ class TestCensus:
     def test_genus2_two_vertices(self, theta, bridge_graph):
         graphs = census(2, 2)
         assert len(graphs) == 7
-        assert any(is_isomorphic(g, theta) for g in graphs)
-        assert any(is_isomorphic(g, bridge_graph) for g in graphs)
+        forms = {canonical_form(g) for g in graphs}
+        assert canonical_form(theta) in forms
+        assert canonical_form(bridge_graph) in forms
 
     def test_pairwise_non_isomorphic(self):
-        graphs = census(3, 3)
-        for i, a in enumerate(graphs):
-            for b in graphs[i + 1 :]:
-                assert not is_isomorphic(a, b)
+        forms = [canonical_form(g) for g in census(3, 3)]
+        assert len(set(forms)) == len(forms)
 
     def test_members_valid(self):
         for genus, max_vertices in ((3, 3), (4, 4)):
@@ -287,21 +287,21 @@ class TestCensus:
 
 class TestIsomorphism:
     def test_self(self, theta):
-        assert is_isomorphic(theta, theta)
+        assert canonical_form(theta) == canonical_form(theta)
 
     def test_edge_count_differs(self, theta):
         other = WeightedGraph((0, 0), ((0, 1), (0, 1)))
-        assert not is_isomorphic(theta, other)
+        assert canonical_form(theta) != canonical_form(other)
 
     def test_weight_swap(self):
         a = WeightedGraph((1, 0), ((0, 1), (0, 1), (0, 1)))
         b = WeightedGraph((0, 1), ((0, 1), (0, 1), (0, 1)))
-        assert is_isomorphic(a, b)
+        assert canonical_form(a) == canonical_form(b)
 
     def test_graph_id_is_invariant(self):
         a = WeightedGraph((1, 0, 2), ((0, 1), (0, 1), (1, 2)))
         b = WeightedGraph((2, 0, 1), ((1, 2), (1, 2), (0, 1)))
-        assert is_isomorphic(a, b)
+        assert canonical_form(a) == canonical_form(b)
         assert graph_id(a) == graph_id(b)
 
     @given(st.permutations(range(4)))
@@ -312,7 +312,7 @@ class TestIsomorphism:
             tuple(g.weights[perm.index(i)] for i in range(4)),
             tuple((perm[u], perm[v]) for u, v in g.edges),
         )
-        assert is_isomorphic(g, relabeled)
+        assert canonical_form(g) == canonical_form(relabeled)
 
 
 class TestFileFormat:
@@ -380,12 +380,11 @@ MULTIDEGREE_CALLS = pytest.mark.parametrize(
         is_balanced,
         is_strictly_balanced,
         s_of_mu,
-        lambda g, md: push_down(g, (), md),
         extremal_pair,
         lambda g, md: class_group(g).same_class(md, (0, 1)),
     ],
-    ids=["is_balanced", "is_strictly_balanced", "s_of_mu", "push_down",
-         "extremal_pair", "same_class"],
+    ids=["is_balanced", "is_strictly_balanced", "s_of_mu", "extremal_pair",
+         "same_class"],
 )
 
 

@@ -6,10 +6,10 @@ from neronjac import (
     d_special_vine_scan,
     gcd_remark_audit,
     is_d_general,
-    is_d_special,
     predicted_codim,
     vine,
 )
+from neronjac.locus import balanced_vines
 
 
 class TestVine:
@@ -33,13 +33,6 @@ class TestVine:
             vine(-1, 2, 1)
         with pytest.raises(ValueError):
             vine(1, 1, 0)
-
-
-class TestDSpecial:
-    def test_complement_of_general(self, theta, dumbbell):
-        for g in (theta, dumbbell):
-            for d in range(-3, 5):
-                assert is_d_special(g, d) != is_d_general(g, d)
 
 
 class TestVineScan:
@@ -71,13 +64,16 @@ class TestVineScan:
     def test_genus_too_small(self):
         with pytest.raises(ValueError):
             d_special_vine_scan(1, 0)
+        for genus in (1, -3):
+            with pytest.raises(ValueError, match="genus must be at least 2"):
+                next(balanced_vines(genus, 1))
 
     def test_members_are_special_and_consistent(self):
         for genus in (2, 3, 4):
             for d in range(0, 2 * genus):
                 for vc in d_special_vine_scan(genus, d):
                     assert vc.genus == genus
-                    assert is_d_special(vine(vc.g1, vc.g2, vc.delta), d)
+                    assert not is_d_general(vine(vc.g1, vc.g2, vc.delta), d)
 
 
 class TestPredictedCodim:

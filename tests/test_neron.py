@@ -10,7 +10,6 @@ from neronjac import (
     WeightedGraph,
     census,
     blow_up,
-    check_g_minus_1,
     class_group,
     component_count,
     contract_separating,
@@ -19,7 +18,6 @@ from neronjac import (
     is_d_general,
     is_neron_type,
     is_tree_like,
-    push_down,
     s_of_mu,
     separating_edges,
     strata_index,
@@ -41,24 +39,6 @@ class TestSOfMu:
     def test_unbalanced_rejected(self, theta):
         with pytest.raises(ValueError):
             s_of_mu(theta, (-2, 3))
-
-
-class TestPushDown:
-    def test_theta_full_blow_up(self, theta):
-        hat_md = (-1, -1, 1, 1, 1)
-        assert push_down(theta, (0, 1, 2), hat_md, side="low") == (2, -1)
-        assert push_down(theta, (0, 1, 2), hat_md, side="high") == (-1, 2)
-
-    def test_empty_subset_is_identity(self, theta):
-        assert push_down(theta, (), (0, 1)) == (0, 1)
-
-    def test_bad_side(self, theta):
-        with pytest.raises(ValueError):
-            push_down(theta, (0,), (0, 0, 1), side="up")
-
-    def test_length_mismatch(self, theta):
-        with pytest.raises(ValueError):
-            push_down(theta, (0,), (0, 1))
 
 
 class TestExtremalPair:
@@ -192,19 +172,21 @@ class TestNeronType:
 
 
 class TestGMinusOne:
+    """At d = g - 1 the verdict is of Neron type iff g is tree-like."""
+
     def test_tree_like_graphs(self, bridge_graph, path3):
         for g in (bridge_graph, path3):
-            verdict, tree = check_g_minus_1(g)
-            assert verdict and tree
+            assert is_neron_type(g, g.genus - 1).verdict
+            assert is_tree_like(g)
 
     def test_theta(self, theta):
-        assert check_g_minus_1(theta) == (False, False)
+        assert not is_neron_type(theta, theta.genus - 1).verdict
+        assert not is_tree_like(theta)
 
     @pytest.mark.parametrize("genus,mv", [(2, 2), (3, 3)])
     def test_dichotomy(self, genus, mv):
         for g in census(genus, mv):
-            verdict, tree = check_g_minus_1(g)
-            assert verdict == tree == is_tree_like(g)
+            assert is_neron_type(g, g.genus - 1).verdict == is_tree_like(g)
 
 
 class TestSharedEnumeration:

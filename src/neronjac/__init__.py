@@ -37,7 +37,6 @@ from .graphs import (
     is_tree_like,
     load_graph,
     separating_edges,
-    validate,
 )
 from .locus import (
     AuditRow,

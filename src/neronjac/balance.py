@@ -249,21 +249,13 @@ def _vertex_bounds(
     d - m_{Z^c}(d) = m_Z(d) + delta_Z (also for n = 1, where Z^c is empty
     and delta = 0).  Exceptional vertices are pinned to degree 1.
     """
-    n = g.n_vertices
-    loops = [0] * n
-    delta = [0] * n
-    for u, v in g.edges:
-        if u == v:
-            loops[u] += 1
-        else:
-            delta[u] += 1
-            delta[v] += 1
     scale = 2 * (2 * genus - 2)
     lows, highs = [], []
-    for v in range(n):
-        w = 2 * (g.weights[v] + loops[v]) - 2 + delta[v]
-        t = _threshold(genus, d, w, delta[v])
-        lo, hi = -(-t // scale), t // scale + delta[v]
+    for v, (weight, k, loops) in enumerate(zip(g.weights, g.valencies, g.loops)):
+        delta = k - 2 * loops  # the non-loop edge ends at v
+        w = 2 * (weight + loops) - 2 + delta
+        t = _threshold(genus, d, w, delta)
+        lo, hi = -(-t // scale), t // scale + delta
         if v in g.exceptional:
             lo, hi = max(lo, 1), min(hi, 1)
         lows.append(lo)

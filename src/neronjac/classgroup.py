@@ -76,10 +76,6 @@ def smith_normal_form(matrix: list[list[int]]):
         for row in m:
             row[dst] += q * row[src]
 
-    def negate_col(a):
-        for row in m:
-            row[a] = -row[a]
-
     k = 0
     while k < n:
         while True:

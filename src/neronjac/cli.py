@@ -70,13 +70,13 @@ def _cell(value) -> str:
 
 
 def cmd_validate(args):
-    diag = graphs.validate(graphs.load_graph(args.graph))
+    g = graphs.load_graph(args.graph)
     return [
         {
-            "genus": diag.genus,
-            "connected": diag.connected,
-            "stable": diag.stable,
-            "quasistable": diag.quasistable,
+            "genus": g.genus,
+            "connected": g.is_connected,
+            "stable": g.is_stable,
+            "quasistable": g.is_quasistable,
         }
     ]
 

@@ -4,6 +4,13 @@ A graph carries non-negative vertex weights (geometric genera of the
 components) and a multiset of edges (the nodes); loops are allowed.  Edges
 are kept as an explicitly ordered tuple so that a subset of edge *instances*
 can be named, which matters for parallel edges.
+
+Every test on a graph reads one per-vertex table, `valencies` (a loop
+counts 2) and `loops`, built by the edge pass that checks the edge ends.
+Stability, quasistability, the canonical-form invariant and the
+per-vertex balance bounds read it.  `_reach` is the only traversal:
+connectivity, the component count, bridges, connected subsets and the
+bridge contraction all go through it.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import hashlib
 import itertools
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 
@@ -20,8 +27,15 @@ class GraphFormatError(ValueError):
     """Raised when a graph file or graph description is malformed."""
 
 
-def _normalize_edge(e) -> tuple[int, int]:
-    u, v = e
+def _as_int(x) -> int:
+    """x as an exact int: any type with __index__, but not bool.  Raises
+    TypeError otherwise."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool")
+    return operator.index(x)
+
+
+def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
@@ -32,29 +46,55 @@ class WeightedGraph:
     weights[i] is the weight of vertex i; edges is a sorted tuple of
     (u, v) pairs with u <= v, loops as (v, v); exceptional is the set of
     vertices flagged as exceptional components (empty for stable graphs).
+    Weights, edge ends and exceptional marks must be exact integers.
+
+    valencies[v] (edge ends at v, a loop counts 2) and loops[v] form the
+    per-vertex table; they are not arguments.
     """
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     exceptional: frozenset[int] = frozenset()
+    valencies: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    loops: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = tuple(int(w) for w in self.weights)
+        weights, edges = tuple(self.weights), tuple(self.edges)
+        exceptional = tuple(self.exceptional)
+        try:
+            # plain ints, the common case, are taken as they are
+            values = itertools.chain(weights, *edges, exceptional)
+            if not {int}.issuperset(map(type, values)):
+                weights = tuple(map(_as_int, weights))
+                edges = [(_as_int(u), _as_int(v)) for u, v in edges]
+                exceptional = tuple(map(_as_int, exceptional))
+        except TypeError:
+            raise GraphFormatError(
+                "vertex weights, edge ends and exceptional marks must be integers"
+            ) from None
+        edges = tuple(sorted(_normalize_edge(u, v) for u, v in edges))
+        exceptional = frozenset(exceptional)
         if not weights:
             raise GraphFormatError("graph must have at least one vertex")
-        if any(w < 0 for w in weights):
+        if min(weights) < 0:
             raise GraphFormatError("vertex weights must be non-negative")
         n = len(weights)
-        edges = tuple(sorted(_normalize_edge(e) for e in self.edges))
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+        valencies = [0] * n
+        loops = [0] * n
+        for u, v in edges:  # u <= v
+            if u < 0 or v >= n:
                 raise GraphFormatError(f"edge ({u},{v}) references a missing vertex")
-        exceptional = frozenset(int(v) for v in self.exceptional)
+            valencies[u] += 1
+            valencies[v] += 1
+            if u == v:
+                loops[u] += 1
         if any(not 0 <= v < n for v in exceptional):
             raise GraphFormatError("exceptional mark references a missing vertex")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "exceptional", exceptional)
+        object.__setattr__(self, "valencies", tuple(valencies))
+        object.__setattr__(self, "loops", tuple(loops))
 
     # -- basic counts ------------------------------------------------------
 
@@ -65,14 +105,6 @@ class WeightedGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def valency(self, v: int) -> int:
-        """Edge-end count at v; a loop contributes 2."""
-        return sum((u == v) + (w == v) for u, w in self.edges)
-
-    def is_loop(self, edge_index: int) -> bool:
-        u, v = self.edges[edge_index]
-        return u == v
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -85,27 +117,8 @@ class WeightedGraph:
         return tuple(masks)
 
     @cached_property
-    def components(self) -> tuple[frozenset[int], ...]:
-        seen = set()
-        out = []
-        for start in range(self.n_vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                m = self.adjacency_masks[x]
-                while m:
-                    b = m & -m
-                    m ^= b
-                    y = b.bit_length() - 1
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            out.append(frozenset(comp))
-        return tuple(out)
+    def n_components(self) -> int:
+        return len(_component_masks(self.adjacency_masks))
 
     @cached_property
     def bridges(self) -> tuple[int, ...]:
@@ -116,12 +129,9 @@ class WeightedGraph:
         Only a non-loop edge with no parallel twin can be one; it is a
         bridge when its far end is unreachable once it is removed.
         """
-        multiplicity: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            multiplicity[e] = multiplicity.get(e, 0) + 1
         out = []
         for i, (u, v) in enumerate(self.edges):
-            if u == v or multiplicity[(u, v)] > 1:
+            if u == v or self.edges.count((u, v)) > 1:
                 continue
             adj = list(self.adjacency_masks)
             adj[u] &= ~(1 << v)
@@ -132,11 +142,11 @@ class WeightedGraph:
 
     @property
     def is_connected(self) -> bool:
-        return len(self.components) == 1
+        return self.n_components == 1
 
     @property
     def b1(self) -> int:
-        return self.n_edges - self.n_vertices + len(self.components)
+        return self.n_edges - self.n_vertices + self.n_components
 
     @property
     def genus(self) -> int:
@@ -146,55 +156,27 @@ class WeightedGraph:
 
     @property
     def is_stable(self) -> bool:
-        if not self.is_connected or self.exceptional:
-            return False
-        return all(
-            self.weights[v] > 0 or self.valency(v) >= 3
-            for v in range(self.n_vertices)
+        # the valency rule first: it needs no traversal
+        return (
+            not self.exceptional
+            and all(w > 0 or k >= 3 for w, k in zip(self.weights, self.valencies))
+            and self.is_connected
         )
 
     @property
     def is_quasistable(self) -> bool:
         if not self.is_connected:
             return False
-        for v in range(self.n_vertices):
-            if self.weights[v] == 0 and self.valency(v) < 2:
-                return False
-        for v in self.exceptional:
-            if self.weights[v] != 0:
-                return False
-            if any(u == w == v for u, w in self.edges):
-                return False
-            non_loop_ends = sum((u == v) + (w == v) for u, w in self.edges if u != w)
-            if non_loop_ends != 2:
-                return False
-        # two exceptional components never intersect
-        for u, w in self.edges:
-            if u != w and u in self.exceptional and w in self.exceptional:
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    genus: int
-    connected: bool
-    stable: bool
-    quasistable: bool
-
-
-def validate(g: WeightedGraph) -> Diagnostics:
-    """Genus and the stability booleans for a graph.
-
-    Malformed graphs (negative weights, no vertices) are rejected at
-    construction time by WeightedGraph itself.
-    """
-    return Diagnostics(
-        genus=g.genus,
-        connected=g.is_connected,
-        stable=g.is_stable,
-        quasistable=g.is_quasistable,
-    )
+        if any(w == 0 and k < 2 for w, k in zip(self.weights, self.valencies)):
+            return False
+        on_exceptional = sum(1 << v for v in self.exceptional)
+        # each exceptional component has weight 0, meets the rest in two
+        # points, has no loop and meets no other exceptional component
+        return not any(
+            self.weights[v] or self.loops[v] or self.valencies[v] != 2
+            or self.adjacency_masks[v] & on_exceptional
+            for v in self.exceptional
+        )
 
 
 def _reach(adj, start: int, within: int = -1) -> int:
@@ -213,18 +195,28 @@ def _reach(adj, start: int, within: int = -1) -> int:
     return seen
 
 
-def _mask_connected(g: WeightedGraph, mask: int) -> bool:
-    start = (mask & -mask).bit_length() - 1
-    return _reach(g.adjacency_masks, start, mask) == mask
+def _component_masks(adj) -> list[int]:
+    """Vertex masks of the connected components of the graph with
+    per-vertex neighbour masks adj, in order of their least vertex."""
+    out = []
+    unseen = (1 << len(adj)) - 1
+    while unseen:
+        comp = _reach(adj, (unseen & -unseen).bit_length() - 1)
+        out.append(comp)
+        unseen &= ~comp
+    return out
 
 
 def connected_subset_masks(g: WeightedGraph, proper: bool = True) -> list[int]:
-    """Bitmasks of nonempty connected vertex subsets, ascending as integers."""
+    """Bitmasks of nonempty connected vertex subsets, ascending as integers:
+    those that _reach fills from their least vertex."""
+    adj = g.adjacency_masks
     top = (1 << g.n_vertices) - 1
     return [
         m
         for m in range(1, top + 1)
-        if not (proper and m == top) and _mask_connected(g, m)
+        if not (proper and m == top)
+        and _reach(adj, (m & -m).bit_length() - 1, m) == m
     ]
 
 
@@ -237,8 +229,7 @@ def separating_edges(g: WeightedGraph) -> frozenset[int]:
 
 def is_tree_like(g: WeightedGraph) -> bool:
     """True iff every non-loop edge is a bridge."""
-    non_loops = {i for i in range(g.n_edges) if not g.is_loop(i)}
-    return non_loops <= separating_edges(g)
+    return len(separating_edges(g)) == g.n_edges - sum(g.loops)
 
 
 def contract_separating(g: WeightedGraph) -> tuple[WeightedGraph, tuple[int, ...]]:
@@ -246,25 +237,19 @@ def contract_separating(g: WeightedGraph) -> tuple[WeightedGraph, tuple[int, ...
     surjection phi (old index -> new index).  Weights of merged vertices add;
     b1 and genus are preserved and the result is bridge-free."""
     bridges = separating_edges(g)
-    parent = list(range(g.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    adj = [0] * g.n_vertices
     for i in bridges:
         u, v = g.edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    # the bridge-connected blocks, numbered in order of their least vertex
+    blocks = _component_masks(adj)
+    phi = tuple(
+        next(k for k, block in enumerate(blocks) if block >> v & 1)
+        for v in range(g.n_vertices)
+    )
 
-    roots = sorted({find(v) for v in range(g.n_vertices)})
-    relabel = {r: i for i, r in enumerate(roots)}
-    phi = tuple(relabel[find(v)] for v in range(g.n_vertices))
-
-    weights = [0] * len(roots)
+    weights = [0] * len(blocks)
     for v, w in enumerate(g.weights):
         weights[phi[v]] += w
     edges = [
@@ -300,11 +285,6 @@ def blow_up(g: WeightedGraph, edge_subset) -> WeightedGraph:
 # -- isomorphism and canonical forms ---------------------------------------
 
 
-def _vertex_invariant(g: WeightedGraph, v: int):
-    loops = sum(1 for u, w in g.edges if u == w == v)
-    return (g.weights[v], g.valency(v), loops, v in g.exceptional)
-
-
 def canonical_form(g: WeightedGraph):
     """A relabeling-invariant canonical description of the graph.
 
@@ -313,7 +293,10 @@ def canonical_form(g: WeightedGraph):
     intended for graphs with at most ~8 vertices.
     """
     n = g.n_vertices
-    invs = [_vertex_invariant(g, v) for v in range(n)]
+    invs = [
+        (g.weights[v], g.valencies[v], g.loops[v], v in g.exceptional)
+        for v in range(n)
+    ]
     order = sorted(range(n), key=lambda v: (invs[v], v))
     # group consecutive vertices with equal invariants
     groups = []
@@ -327,7 +310,7 @@ def canonical_form(g: WeightedGraph):
         old_order = [v for part in perm_parts for v in part]
         new_of_old = {v: i for i, v in enumerate(old_order)}
         weights = tuple(g.weights[v] for v in old_order)
-        edges = tuple(sorted(_normalize_edge((new_of_old[u], new_of_old[v])) for u, v in g.edges))
+        edges = tuple(sorted(_normalize_edge(new_of_old[u], new_of_old[v]) for u, v in g.edges))
         exc = tuple(sorted(new_of_old[v] for v in g.exceptional))
         cand = (weights, edges, exc)
         if best is None or cand < best:
@@ -373,11 +356,8 @@ def census(genus: int, max_vertices: int) -> list[WeightedGraph]:
         slots = [(i, j) for i in range(n) for j in range(i, n)]
         for b1 in range(genus + 1):
             n_edges = b1 + n - 1
-            if n_edges < 0:
-                continue
             weight_total = genus - b1
-            for edge_combo in itertools.combinations_with_replacement(slots, n_edges):
-                edges = tuple(edge_combo)
+            for edges in itertools.combinations_with_replacement(slots, n_edges):
                 for weights in _compositions(weight_total, n):
                     # sum(weights) = genus - b1 and n_edges = b1 + n - 1, so
                     # a connected (here: stable) graph has the genus asked for
@@ -413,9 +393,7 @@ def check_multidegree(multidegree, n_vertices: int) -> tuple[int, ...]:
     exact integers (any type with __index__), and not bool."""
     md = tuple(multidegree)
     try:
-        if any(isinstance(x, bool) for x in md):
-            raise TypeError
-        md = tuple(map(operator.index, md))
+        md = tuple(map(_as_int, md))
     except TypeError:
         raise ValueError(f"multidegree entries must be integers, got {md!r}") from None
     if len(md) != n_vertices:
@@ -487,16 +465,28 @@ def graph_from_dict(data: dict) -> WeightedGraph:
     )
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not an
+    overwrite."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise GraphFormatError(f"repeated field {key!r}")
+        out[key] = value
+    return out
+
+
 def load_graph(path) -> WeightedGraph:
     with open(path) as fh:
         text = fh.read()
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+        return graph_from_dict(data)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    try:
-        return graph_from_dict(data)
+    except RecursionError:
+        raise GraphFormatError(f"{path}: JSON nested too deeply") from None
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None

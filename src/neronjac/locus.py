@@ -30,16 +30,13 @@ class VineCurve:
 
 def vine(g1: int, g2: int, delta: int) -> WeightedGraph:
     """Two vertices of weights g1, g2 joined by delta parallel edges."""
-    if g1 < 0 or g2 < 0:
-        raise ValueError("component genera must be non-negative")
     if delta < 1:
         raise ValueError("a vine curve needs at least one node")
-    if (g1 == 0 or g2 == 0) and delta < 3:
+    g = WeightedGraph((g1, g2), ((0, 1),) * delta)
+    if not g.is_stable:
         raise ValueError(
             f"unstable vine: weight-0 component with valency {delta} < 3"
         )
-    g = WeightedGraph((g1, g2), tuple((0, 1) for _ in range(delta)))
-    assert g.is_stable
     return g
 
 
@@ -54,9 +51,9 @@ def balanced_vines(genus: int, d: int, min_delta: int = 1):
             delta = genus - g1 - g2 + 1
             if delta < max(1, min_delta):
                 continue
-            if (g1 == 0 or g2 == 0) and delta < 3:
+            g = WeightedGraph((g1, g2), ((0, 1),) * delta)
+            if not g.is_stable:
                 continue
-            g = vine(g1, g2, delta)
             yield VineCurve(g1, g2, delta), g, enumerate_balanced(g, d)
 
 

@@ -84,11 +84,15 @@ class TestValidate:
             ' "edges": [[true, 0]]}',
             '{"vertices": [{"id": 0, "weight": 2}], "edgse": [[0, 0]]}',
             '{"vertices": [{"id": 0, "wieght": 2, "weight": 1}], "edges": [[0, 0]]}',
+            '{"vertices": [{"id": 0, "weight": 2}], "edges": [], "edges": [[0, 0]]}',
+            '{"vertices": [{"id": 0, "weight": 2, "weight": 5}], "edges": []}',
+            "[" * 100_000,
         ],
         ids=["edges-int", "edges-object", "exceptional-int",
              "exceptional-list-mark", "exceptional-bool-mark", "bool-id",
              "bool-weight", "bool-edge-end", "unknown-field",
-             "unknown-vertex-field"],
+             "unknown-vertex-field", "repeated-field", "repeated-vertex-field",
+             "deep-nesting"],
     )
     def test_bad_field_types(self, tmp_path, capsys, text):
         path = tmp_path / "bad.graph"
@@ -281,6 +285,9 @@ GOLDEN = [
     ("audit-2", ["audit", "--genus", "2", "--degree=0..3"], None,
      "93b1e658c42eb6735c1e1165090d6146bf3609162620e892424dbfd4f2a41ae0",
      "93cc157885dfcc0c9e3f79983021d9be7c57799a448ac5ffc0d7a1a17bae506b"),
+    ("census-4", ["census", "--genus", "4", "--degree", "3"], None,
+     "b43bc136d3eac14566d091cb175a3ce9ef6809dfce1812f14cc80e21bfdd308a",
+     "c665226a7dba0f035887b2deb2a6cb803de16f306a3cd7853349e21b697c5420"),
 ]
 GOLDEN_CASES = [
     (name, argv, fixture, fmt, digest)

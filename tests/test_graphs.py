@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -21,28 +22,27 @@ from neronjac import (
     m_lower_bound,
     s_of_mu,
     separating_edges,
-    validate,
 )
 from neronjac.balance import _subcurve
 from neronjac.graphs import canonical_form, connected_subset_masks, graph_id
 
 
 class TestValidate:
+    """The genus and stability properties that `validate` prints."""
+
     def test_single_weight_2_vertex(self):
-        diag = validate(WeightedGraph((2,), ()))
-        assert diag.genus == 2
-        assert diag.stable
+        g = WeightedGraph((2,), ())
+        assert g.genus == 2
+        assert g.is_stable
 
     def test_theta(self, theta):
-        diag = validate(theta)
-        assert diag.genus == 2
-        assert diag.connected and diag.stable
+        assert theta.genus == 2
+        assert theta.is_connected and theta.is_stable
 
     def test_two_parallel_edges_not_stable(self):
         g = WeightedGraph((0, 0), ((0, 1), (0, 1)))
-        diag = validate(g)
-        assert diag.genus == 1
-        assert not diag.stable
+        assert g.genus == 1
+        assert not g.is_stable
 
     def test_negative_weight_rejected(self):
         with pytest.raises(GraphFormatError):
@@ -51,6 +51,130 @@ class TestValidate:
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphFormatError):
             WeightedGraph((), ())
+
+
+def _edge_scan(g):
+    """Reference valencies (a loop counts 2) and loop counts: one pass over
+    the edges."""
+    valencies = [0] * g.n_vertices
+    loops = [0] * g.n_vertices
+    for u, v in g.edges:
+        valencies[u] += 1
+        valencies[v] += 1
+        if u == v:
+            loops[u] += 1
+    return tuple(valencies), tuple(loops)
+
+
+def _set_bfs_component_count(g):
+    """Reference component count: breadth-first search over sets."""
+    neighbours = {v: set() for v in range(g.n_vertices)}
+    for u, v in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen = set()
+    count = 0
+    for start in range(g.n_vertices):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in neighbours[x] - seen:
+                    seen.add(y)
+                    nxt.append(y)
+            frontier = nxt
+    return count
+
+
+def _with_bridge_blow_ups(graphs):
+    """Each graph, then its blow-up at every subset of its bridges."""
+    for g in graphs:
+        bridges = sorted(separating_edges(g))
+        for size in range(len(bridges) + 1):
+            for subset in itertools.combinations(bridges, size):
+                yield blow_up(g, subset)
+
+
+@pytest.fixture(scope="module")
+def small_census_graphs():
+    """The genus 2-4 censuses (at most 4 vertices) and the blow-ups of
+    their members at every bridge subset."""
+    graphs = [g for genus in (2, 3, 4) for g in census(genus, 4)]
+    return list(_with_bridge_blow_ups(graphs))
+
+
+DISCONNECTED = [
+    WeightedGraph((1, 1), ()),
+    WeightedGraph((0, 0, 0), ((0, 0), (1, 2), (1, 2))),
+    WeightedGraph((2, 0, 1, 0), ((0, 2), (1, 1), (1, 3)), frozenset({3})),
+    WeightedGraph((0,) * 5, ((0, 4), (4, 4), (2, 2))),
+]
+
+
+class TestVertexTable:
+    """valencies, loops and n_components against an explicit edge scan and
+    a set-based search."""
+
+    def test_theta_pendant(self, theta_pendant):
+        assert theta_pendant.valencies == (4, 3, 1)
+        assert theta_pendant.loops == (0, 0, 0)
+        assert theta_pendant.n_components == 1
+
+    def test_loops_count_twice(self, dumbbell):
+        assert dumbbell.valencies == (3, 3)
+        assert dumbbell.loops == (1, 1)
+
+    def test_census_and_blow_ups(self, small_census_graphs):
+        assert len(small_census_graphs) == 812  # 288 census graphs, 524 blow-ups
+        for g in small_census_graphs:
+            assert (g.valencies, g.loops) == _edge_scan(g)
+            assert g.n_components == _set_bfs_component_count(g) == 1
+
+    @pytest.mark.parametrize("g", DISCONNECTED)
+    def test_disconnected(self, g):
+        assert (g.valencies, g.loops) == _edge_scan(g)
+        assert g.n_components == _set_bfs_component_count(g) > 1
+        assert not g.is_connected
+        assert not g.is_stable and not g.is_quasistable
+        assert g.b1 == g.n_edges - g.n_vertices + _set_bfs_component_count(g)
+
+
+class TestExactIntegers:
+    """Weights, edge ends and exceptional marks are exact integers: a
+    float or bool is rejected, not truncated to another graph."""
+
+    THETA_EDGES = ((0, 1), (0, 1), (0, 1))
+
+    @pytest.mark.parametrize(
+        "weights,edges,exceptional",
+        [
+            ((1.7, 0.2), THETA_EDGES, ()),
+            ((True, 0), THETA_EDGES, ()),
+            (("1", 0), THETA_EDGES, ()),
+            ((0, 0), ((0, 1.0), (0, 1), (0, 1)), ()),
+            ((0, 0), ((False, 1), (0, 1), (0, 1)), ()),
+            ((1, 1, 0), ((0, 2), (1, 2)), (2.0,)),
+            ((1, 1, 0), ((0, 2), (1, 2)), (True,)),
+        ],
+        ids=["float-weight", "bool-weight", "str-weight", "float-end",
+             "bool-end", "float-mark", "bool-mark"],
+    )
+    def test_rejected(self, weights, edges, exceptional):
+        with pytest.raises(GraphFormatError, match="must be integers"):
+            WeightedGraph(weights, edges, frozenset(exceptional))
+
+    def test_index_types_accepted(self):
+        g = WeightedGraph(
+            (_Index(1), _Index(1), _Index(0)),
+            ((_Index(2), _Index(0)), (1, _Index(2))),
+            frozenset({_Index(2)}),
+        )
+        assert g == WeightedGraph((1, 1, 0), ((0, 2), (1, 2)), frozenset({2}))
+        assert all(type(x) is int for e in g.edges for x in e)
 
 
 class TestSubcurveStats:
@@ -137,19 +261,18 @@ class TestSeparatingEdges:
             for h in [g] + hats:
                 assert separating_edges(h) == self._remove_and_test(h)
 
-    @pytest.mark.parametrize(
-        "g",
-        [
-            # parallel pair between two blocks, plus a pendant bridge
-            WeightedGraph((1, 0, 1, 1), ((0, 1), (1, 2), (1, 2), (2, 3))),
-            # loops at both ends of a bridge
-            WeightedGraph((0, 0), ((0, 0), (0, 1), (1, 1))),
-            # a triangle with a pendant path and a doubled edge inside it
-            WeightedGraph((0, 0, 0, 1, 1), ((0, 1), (0, 1), (1, 2), (0, 2), (2, 3), (3, 4))),
-            # one vertex with loops only
-            WeightedGraph((0,), ((0, 0), (0, 0))),
-        ],
-    )
+    HANDMADE = [
+        # parallel pair between two blocks, plus a pendant bridge
+        WeightedGraph((1, 0, 1, 1), ((0, 1), (1, 2), (1, 2), (2, 3))),
+        # loops at both ends of a bridge
+        WeightedGraph((0, 0), ((0, 0), (0, 1), (1, 1))),
+        # a triangle with a pendant path and a doubled edge inside it
+        WeightedGraph((0, 0, 0, 1, 1), ((0, 1), (0, 1), (1, 2), (0, 2), (2, 3), (3, 4))),
+        # one vertex with loops only
+        WeightedGraph((0,), ((0, 0), (0, 0))),
+    ]
+
+    @pytest.mark.parametrize("g", HANDMADE)
     def test_matches_edge_removal_on_handmade(self, g):
         assert separating_edges(g) == self._remove_and_test(g)
         for h in (blow_up(g, range(g.n_edges)), blow_up(g, (0,))):
@@ -160,7 +283,39 @@ class TestSeparatingEdges:
             separating_edges(WeightedGraph((1, 1), ()))
 
 
+def _union_find_contraction(g):
+    """Reference bridge contraction: union-find over the bridges, the
+    classes numbered in order of their least vertex."""
+    bridges = separating_edges(g)
+    parent = list(range(g.n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in bridges:
+        u, v = g.edges[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    roots = sorted({find(v) for v in range(g.n_vertices)})
+    relabel = {r: i for i, r in enumerate(roots)}
+    phi = tuple(relabel[find(v)] for v in range(g.n_vertices))
+    weights = [0] * len(roots)
+    for v, w in enumerate(g.weights):
+        weights[phi[v]] += w
+    edges = [(phi[u], phi[v]) for i, (u, v) in enumerate(g.edges) if i not in bridges]
+    return WeightedGraph(tuple(weights), tuple(edges)), phi
+
+
 class TestContractSeparating:
+    def test_matches_union_find(self, small_census_graphs):
+        handmade = TestSeparatingEdges.HANDMADE
+        for g in small_census_graphs + handmade + list(_with_bridge_blow_ups(handmade)):
+            assert contract_separating(g) == _union_find_contraction(g)
+
     def test_tree_like_collapses_to_point(self, path3):
         contracted, phi = contract_separating(path3)
         assert contracted.n_vertices == 1
@@ -269,9 +424,8 @@ class TestCensus:
     def test_members_valid(self):
         for genus, max_vertices in ((3, 3), (4, 4)):
             for g in census(genus, max_vertices):
-                diag = validate(g)
-                assert diag.genus == genus
-                assert diag.connected and diag.stable
+                assert g.genus == genus
+                assert g.is_connected and g.is_stable
 
     def test_deterministic(self):
         assert census(2, 2) == census(2, 2)
@@ -362,6 +516,28 @@ class TestFileFormat:
     def test_unknown_field_named(self, data, key):
         with pytest.raises(GraphFormatError, match=f"unknown .*'{key}'"):
             graph_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"vertices": [{"id": 0, "weight": 2}], "edges": [], "edges": [[0, 0]]}',
+             "edges"),
+            ('{"vertices": [{"id": 0, "weight": 2, "weight": 5}], "edges": []}',
+             "weight"),
+        ],
+        ids=["top-level", "vertex"],
+    )
+    def test_repeated_field_named(self, tmp_path, text, key):
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match=f"repeated field '{key}'"):
+            load_graph(path)
+
+    def test_deep_nesting_rejected(self, tmp_path):
+        path = tmp_path / "deep.graph"
+        path.write_text("[" * 100_000)
+        with pytest.raises(GraphFormatError, match="nested too deeply"):
+            load_graph(path)
 
 
 class _Index:

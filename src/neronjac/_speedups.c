@@ -5,9 +5,10 @@
  *
  *     scale * sum(x[v] for v in mask) >= threshold
  *
- * by the same depth-first search as the pure kernel, made iterative: a
- * constraint is checked once its highest coordinate is assigned, and suffix
- * sums of the bounds prune the total.  Output is in lexicographic order.
+ * It gives the same answers as the pure kernel by a different search, an
+ * iterative depth-first search that checks each value: a constraint is
+ * checked on every value of its highest coordinate, and suffix sums of the
+ * bounds prune the total.  Output is in lexicographic order.
  *
  * The search works in signed 64-bit arithmetic on at most MAX_N coordinates.
  * Arguments outside int64 raise OverflowError, and more than MAX_N

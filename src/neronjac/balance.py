@@ -144,6 +144,15 @@ def _mask_sum(md, mask: int) -> int:
     return acc
 
 
+def _subset_sums(md) -> list[int]:
+    """sums[mask] = the sum of md over the coordinates of mask, for every
+    mask, by one doubling pass per coordinate."""
+    sums = [0]
+    for x in md:
+        sums += [s + x for s in sums]
+    return sums
+
+
 class _SubcurveBounds:
     """The cleared bounds of every connected proper subcurve of g at total
     degree d, built once and shared by every multidegree of that degree:
@@ -175,10 +184,11 @@ class _SubcurveBounds:
     def equalities(self, md) -> list[_SubsetCheck]:
         """The checks of the equality subcurves of md, in mask order."""
         scale = self.scale
+        sums = _subset_sums(md)
         return [
             c
             for c, t in zip(self.checks, self.thresholds)
-            if scale * _mask_sum(md, c.mask) == t
+            if scale * sums[c.mask] == t
         ]
 
 

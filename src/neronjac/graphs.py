@@ -68,11 +68,14 @@ class WeightedGraph:
                 weights = tuple(map(_as_int, weights))
                 edges = [(_as_int(u), _as_int(v)) for u, v in edges]
                 exceptional = tuple(map(_as_int, exceptional))
+            edges = tuple(sorted(_normalize_edge(u, v) for u, v in edges))
         except TypeError:
             raise GraphFormatError(
                 "vertex weights, edge ends and exceptional marks must be integers"
             ) from None
-        edges = tuple(sorted(_normalize_edge(u, v) for u, v in edges))
+        except ValueError:
+            # raised only by unpacking an edge that is not a pair
+            raise GraphFormatError("each edge must be a pair of vertex indices") from None
         exceptional = frozenset(exceptional)
         if not weights:
             raise GraphFormatError("graph must have at least one vertex")
@@ -288,33 +291,156 @@ def blow_up(g: WeightedGraph, edge_subset) -> WeightedGraph:
 def canonical_form(g: WeightedGraph):
     """A relabeling-invariant canonical description of the graph.
 
-    Vertices are grouped by (weight, valency, loop count, exceptional flag);
-    the minimum over all class-respecting relabelings is taken.  Exhaustive,
-    intended for graphs with at most ~8 vertices.
+    Vertices are grouped by (weight, valency, loop count, exceptional flag)
+    and take the new labels 0, 1, ... class by class, so the weights and
+    the exceptional labels are the same under every class-respecting
+    relabeling.  The form takes the least sorted edge list among them,
+    found by _least_edges; when every class is one vertex the relabeling
+    is forced.
     """
     n = g.n_vertices
-    invs = [
-        (g.weights[v], g.valencies[v], g.loops[v], v in g.exceptional)
-        for v in range(n)
-    ]
-    order = sorted(range(n), key=lambda v: (invs[v], v))
-    # group consecutive vertices with equal invariants
-    groups = []
-    for v in order:
-        if groups and invs[groups[-1][-1]] == invs[v]:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
+    exc = g.exceptional
+    invs = list(zip(g.weights, g.valencies, g.loops, map(exc.__contains__, range(n))))
+    order = sorted(range(n), key=invs.__getitem__)
+    weights = tuple(map(g.weights.__getitem__, order))
+    exceptional = tuple(i for i, v in enumerate(order) if v in exc) if exc else ()
+    if len(set(invs)) == n:
+        label = sorted(range(n), key=order.__getitem__)
+        edges = ((label[u], label[v]) for u, v in g.edges)
+        edges = tuple(sorted((a, b) if a <= b else (b, a) for a, b in edges))
+    else:
+        edges = _least_edges(g, invs, order)
+    return weights, edges, exceptional
+
+
+def _least_edges(g: WeightedGraph, invs, order) -> tuple[tuple[int, int], ...]:
+    """The least sorted edge list of g over the relabelings that give label
+    i to a vertex of the class of order[i], by branch and bound; some class
+    has two or more vertices.
+
+    Labels are placed one at a time.  A partial labeling fixes a prefix of
+    its sorted edge list: every row (the edges (a, b) with a the smaller
+    label) whose edges all have both ends labeled, then the labeled edges
+    of the first open row, and after them an edge no less than (that row,
+    the next label).  The prefix only grows as labels are placed, so it is
+    kept in one list and compared with the best list found so far only
+    where it grew; a partial labeling is dropped once it is above.
+
+    The last label with a choice left, the next-to-last of the last class
+    of two or more vertices, has two candidates, and each fixes every
+    label after it; it is settled by comparing the two edge lists.
+    """
+    n = g.n_vertices
+    edges = g.edges
+    # candidates[i]: the class of label i, ascending; choices: the labels
+    # with two or more candidates, of which `last` is the last
+    candidates = [None] * n
+    choices = last = start = 0
+    for end in range(1, n + 1):
+        if end < n and invs[order[end]] == invs[order[start]]:
+            continue
+        candidates[start:end] = [order[start:end]] * (end - start)
+        if end - start > 1:
+            choices += end - start - 1
+            last = end - 2
+        start = end
+    label = [n] * n  # n: not yet labeled
+
+    def complete(i):
+        """The least sorted edge codes, (a, b) coded a * n + b, of the two
+        labelings that place labels i, i+1, ... when labels i .. last-1 have
+        one candidate each."""
+        tail = [v for v in order if label[v] == n]
+        best = None
+        for swap in (False, True):
+            if swap:
+                k = last - i
+                tail[k], tail[k + 1] = tail[k + 1], tail[k]
+            for k, v in enumerate(tail, i):
+                label[v] = k
+            codes = []
+            for u, v in edges:
+                a, b = label[u], label[v]
+                codes.append(a * n + b if a <= b else b * n + a)
+            codes.sort()
+            if best is None or codes < best:
+                best = codes
+        for v in tail:
+            label[v] = n
+        return best
+
+    if choices == 1:
+        best = complete(0)
+    else:
+        best = _search(g, candidates, last, label, complete)
+    return tuple(map(divmod, best, itertools.repeat(n)))
+
+
+def _search(g: WeightedGraph, candidates, last, label, complete) -> list[int]:
+    """The branch and bound of _least_edges over labels 0 .. last - 1;
+    complete(last) settles the rest."""
+    n = g.n_vertices
+    loops = g.loops
+    n_edges = len(g.edges)
+    neighbours = [[] for _ in range(n)]  # a vertex once per edge, no loops
+    for u, v in g.edges:
+        if u != v:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+    rows = [()] * n  # rows[a]: codes of the labeled edges of row a
+    open_ends = [0] * n  # open_ends[a]: edges of row a not yet labeled
+    known = []  # the fixed prefix of the sorted edge list
     best = None
-    for perm_parts in itertools.product(*(itertools.permutations(grp) for grp in groups)):
-        old_order = [v for part in perm_parts for v in part]
-        new_of_old = {v: i for i, v in enumerate(old_order)}
-        weights = tuple(g.weights[v] for v in old_order)
-        edges = tuple(sorted(_normalize_edge(new_of_old[u], new_of_old[v]) for u, v in g.edges))
-        exc = tuple(sorted(new_of_old[v] for v in g.exceptional))
-        cand = (weights, edges, exc)
-        if best is None or cand < best:
-            best = cand
+
+    def place(i, first, start, tight):
+        # labels 0..i-1 are placed; rows before `first` are complete and
+        # known[start:] is rows[first]; tight: known equals best's prefix
+        nonlocal best
+        if i == last:
+            codes = complete(i)
+            if best is None or codes < best:
+                best = codes
+            return
+        saved_rows, saved_ends = rows[:], open_ends[:]
+        mark = len(known)
+        for v in candidates[i]:
+            if label[v] < n:
+                continue
+            label[v] = i
+            ends = 0
+            for u in neighbours[v]:
+                a = label[u]
+                if a < i:
+                    rows[a] += (a * n + i,)
+                    open_ends[a] -= 1
+                else:
+                    ends += 1
+            rows[i] = (i * n + i,) * loops[v]
+            open_ends[i] = ends
+            f, s = first, start
+            known.extend(rows[f][mark - s:])
+            while f <= i and not open_ends[f]:
+                f += 1
+                s = len(known)
+                if f <= i:
+                    known.extend(rows[f])
+            if not tight:
+                place(i + 1, f, s, False)
+            else:
+                end = len(known)
+                grown, old = known[mark:], best[mark:end]
+                if grown < old:
+                    place(i + 1, f, s, False)
+                elif grown == old and (end == n_edges or f * n + i + 1 <= best[end]):
+                    place(i + 1, f, s, True)
+            # the best now extends known[:mark], whichever branch ran
+            tight = True
+            del known[mark:]
+            rows[:] = saved_rows
+            open_ends[:] = saved_ends
+            label[v] = n
+
+    place(0, 0, 0, False)
     return best
 
 

@@ -3,11 +3,12 @@
 Everything here deliberately avoids the code paths it verifies: balanced
 sets are recomputed with Fraction arithmetic over explicit boxes checking
 *all* subcurves (not only connected ones), spanning trees are counted by
-deletion-contraction, and class groups by direct coset enumeration.
+deletion-contraction, class groups by direct coset enumeration, and
+canonical forms by trying every class-respecting relabeling.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 
 def all_subsets(n):
@@ -116,3 +117,38 @@ def coset_count(columns, n, box=6):
     # degree-0 lattice is {(a, -a)}; quotient by <step>
     assert step[0] == -step[1]
     return abs(step[0])
+
+
+def exhaustive_canonical_form(g):
+    """The canonical form of graphs.canonical_form, by trying every
+    relabeling that keeps the vertices grouped by (weight, valency, loop
+    count, exceptional flag), the groups in ascending order, and taking
+    the least (weights, sorted edges, exceptional labels)."""
+    n = g.n_vertices
+    invs = [
+        (g.weights[v], g.valencies[v], g.loops[v], v in g.exceptional)
+        for v in range(n)
+    ]
+    order = sorted(range(n), key=lambda v: (invs[v], v))
+    groups = []
+    for v in order:
+        if groups and invs[groups[-1][-1]] == invs[v]:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    best = None
+    for parts in product(*(permutations(grp) for grp in groups)):
+        old_order = [v for part in parts for v in part]
+        new_of_old = {v: i for i, v in enumerate(old_order)}
+        weights = tuple(g.weights[v] for v in old_order)
+        edges = tuple(
+            sorted(
+                tuple(sorted((new_of_old[u], new_of_old[v])))
+                for u, v in g.edges
+            )
+        )
+        exc = tuple(sorted(new_of_old[v] for v in g.exceptional))
+        cand = (weights, edges, exc)
+        if best is None or cand < best:
+            best = cand
+    return best

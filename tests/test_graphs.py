@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from neronjac import (
 )
 from neronjac.balance import _subcurve
 from neronjac.graphs import canonical_form, connected_subset_masks, graph_id
+from oracles import exhaustive_canonical_form
 
 
 class TestValidate:
@@ -51,6 +53,16 @@ class TestValidate:
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphFormatError):
             WeightedGraph((), ())
+
+    @pytest.mark.parametrize(
+        "edges",
+        [((0, 1, 1),), ((0,),), "ab", ((0, 1), [1, 0, 1])],
+        ids=["triple", "single", "string", "second-edge"],
+    )
+    def test_edge_not_a_pair_rejected(self, edges):
+        with pytest.raises(GraphFormatError) as info:
+            WeightedGraph((1, 1), edges)
+        assert str(info.value) == "each edge must be a pair of vertex indices"
 
 
 def _edge_scan(g):
@@ -467,6 +479,85 @@ class TestIsomorphism:
             tuple((perm[u], perm[v]) for u, v in g.edges),
         )
         assert canonical_form(g) == canonical_form(relabeled)
+
+
+def _relabeled(g, rng):
+    """g with its vertices renamed by a random permutation."""
+    perm = list(range(g.n_vertices))
+    rng.shuffle(perm)
+    weights = [0] * g.n_vertices
+    for v, w in enumerate(g.weights):
+        weights[perm[v]] = w
+    return WeightedGraph(
+        tuple(weights),
+        tuple((perm[u], perm[v]) for u, v in g.edges),
+        frozenset(perm[v] for v in g.exceptional),
+    )
+
+
+def _random_stable_graph(rng, n):
+    """A connected stable graph on n vertices, mostly of weight 0; loops
+    and parallel edges allowed."""
+    while True:
+        weights = tuple(rng.choice((0, 0, 0, 1)) for _ in range(n))
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        for _ in range(rng.randint(n // 2, n + 2)):
+            edges.append((rng.randrange(n), rng.randrange(n)))
+        g = WeightedGraph(weights, tuple(edges))
+        if g.is_stable:
+            return g
+
+
+def _random_cubic_graph(rng, n):
+    """A connected loopless graph on an even number n of weight-0 vertices
+    of valency 3, by pairing valency slots at random: one class of n
+    vertices, so every relabeling respects it."""
+    while True:
+        slots = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(slots)
+        g = WeightedGraph((0,) * n, tuple(zip(slots[::2], slots[1::2])))
+        if g.is_connected and not any(g.loops):
+            return g
+
+
+class TestCanonicalFormSearch:
+    """The branch-and-bound canonical_form against the exhaustive one kept
+    in oracles.py, on relabeled copies."""
+
+    def test_census_and_blow_ups(self, small_census_graphs):
+        rng = random.Random(1)
+        for g in small_census_graphs:
+            form = exhaustive_canonical_form(g)
+            assert canonical_form(g) == form
+            for _ in range(2):
+                assert canonical_form(_relabeled(g, rng)) == form
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_random_stable_graphs(self, n):
+        rng = random.Random(n)
+        for _ in range(30):
+            g = _random_stable_graph(rng, n)
+            form = exhaustive_canonical_form(g)
+            assert canonical_form(g) == form
+            for _ in range(2):
+                h = _relabeled(g, rng)
+                assert canonical_form(h) == form
+                assert graph_id(h) == graph_id(g)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_random_cubic_graphs(self, n):
+        rng = random.Random(n)
+        for _ in range(2):
+            g = _random_cubic_graph(rng, n)
+            form = exhaustive_canonical_form(g)
+            for _ in range(3):
+                assert canonical_form(_relabeled(g, rng)) == form
+
+    def test_blow_ups_of_random_graphs(self):
+        rng = random.Random(9)
+        graphs = [_random_stable_graph(rng, 6) for _ in range(6)]
+        for hat in _with_bridge_blow_ups(graphs):
+            assert canonical_form(_relabeled(hat, rng)) == exhaustive_canonical_form(hat)
 
 
 class TestFileFormat:

@@ -113,6 +113,23 @@ CASES = [
     ([1, 1], [1, 1], 2, [0b01], [2], 2),
     ([0, 0], [1, 1], 5, [], [], 2),  # infeasible total
     ([-1, -1, -1], [1, 1, 1], 0, [], [], 2),  # no constraints
+    # every coordinate but the last, and every one but the first
+    ([-2, -2, -2], [3, 3, 3], 2, [0b011, 0b110], [6, -2], 4),
+    # a singleton on the last coordinate, from below and from above
+    ([-2, -2, -2], [3, 3, 3], 1, [0b100], [3], 2),
+    ([-2, -2, -2], [3, 3, 3], 1, [0b100], [3], -2),
+    # the full mask, and scale 0: constant constraints
+    ([0, 0, 0], [2, 2, 2], 3, [0b111, 0b011], [12, 1], 4),
+    ([0, 0, 0], [2, 2, 2], 3, [0b111], [13], 4),
+    ([0, 0], [2, 2], 2, [0b01, 0b10], [0, -3], 0),
+    ([0, 0], [2, 2], 2, [0b01, 0b10], [0, 1], 0),
+    # two bounds on one mask: the tighter one holds, whichever comes first
+    ([0, 0, 0], [3, 3, 3], 4, [0b011, 0b011], [2, 6], 2),
+    ([0, 0, 0], [3, 3, 3], 4, [0b011, 0b011], [6, 2], 2),
+    ([0, 0, 0], [3, 3, 3], 4, [0b011, 0b011], [-2, -6], -2),
+    ([0, 0, 0], [3, 3, 3], 4, [0b011, 0b011], [-6, -2], -2),
+    # negative scale: upper bounds, some only on the complement
+    ([-3, -3, -3, -3], [3, 3, 3, 3], 0, [0b1010, 0b0011, 0b1100], [-2, 3, -5], -2),
 ]
 
 
@@ -148,6 +165,55 @@ class TestAgainstBruteForce:
     def test_built_compiled_kernel(self, case, speedups):
         # brute_force_box lists its points in lexicographic order
         assert list(speedups.enumerate_box(*case)) == brute_force_box(*case)
+
+
+@st.composite
+def boxes(draw):
+    """Arguments of enumerate_box with at most 5 coordinates.  Half the
+    masks hold the last coordinate, so the search bounds their complement."""
+    n = draw(st.integers(1, 5))
+    lows = draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n))
+    widths = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    total = draw(st.integers(-4, 9))
+    constraints = draw(
+        st.lists(
+            st.tuples(st.integers(1, 2**n - 1), st.booleans(), st.integers(-12, 12)),
+            max_size=6,
+        )
+    )
+    masks = [m | (1 << n - 1) if last else m for m, last, _ in constraints]
+    thresholds = [t for _, _, t in constraints]
+    scale = draw(st.sampled_from([-2, 0, 1, 4]))
+    highs = [lo + w for lo, w in zip(lows, widths)]
+    return lows, highs, total, masks, thresholds, scale
+
+
+class TestPureKernel:
+    """The pure kernel's bounded search against brute_force_box, and its
+    argument checks."""
+
+    @given(boxes())
+    @settings(max_examples=300, deadline=None)
+    def test_random_boxes(self, args):
+        assert _kernel_py.enumerate_box(*args) == brute_force_box(*args)
+
+    @pytest.mark.parametrize(
+        "masks, thresholds, scale",
+        [
+            # a constraint that empties the box, then a bad mask
+            ([0b01, 0b100], [5, 0], 0),
+            ([0b11, 0b100], [99, 0], 4),
+            ([0b01, 0], [99, 0], 4),
+            # the bad mask first
+            ([0b100, 0b01], [0, 5], 0),
+        ],
+    )
+    def test_bad_mask_raises_whatever_the_others(self, masks, thresholds, scale):
+        bad = next(m for m in masks if m <= 0 or m >> 2)
+        for kernel in (_kernel_py, _kernel):
+            with pytest.raises(ValueError) as info:
+                kernel.enumerate_box([0, 0], [1, 1], 1, masks, thresholds, scale)
+            assert str(info.value) == f"mask {bad} out of range for 2 coordinates"
 
 
 class TestCompiledMatchesPure:

@@ -18,12 +18,14 @@ whether it is exempt.  Balance, strictness, the equality subcurves, S(mu)
 and the boundary criterion all read it.
 
 Every comparison is done on integers after clearing denominators by
-2*(2g-2), in _SubcurveBounds: scale * deg_Z >= t_Z.  Strict balance is
-balance with the threshold of every non-exempt subcurve raised by one,
-scale * deg_Z >= t_Z + 1.  scale * deg_Z is a multiple of scale, so the
-raise changes the test only where scale divides t_Z (m_Z(d) is an
-integer); only those raised thresholds are checked.  The public bound
-m_Z(d) is an exact Fraction.
+2*(2g-2), in _SubcurveBounds: scale * deg_Z >= t_Z.  The kernel is the one
+balance test: enumerate_balanced asks it for a box, and is_balanced for
+the one-point box of its multidegree.  deg_Z = m_Z(d) can hold only where
+m_Z(d) = t_Z / scale is an integer, so the subcurves whose threshold the
+scale divides, each with its integer bound, are listed once as the tight
+checks.  Every equality question reads that list: the equality subcurves,
+and strictness, which asks that every tight check met with equality be
+exempt.  The public bound m_Z(d) is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def _balance_checks(g: WeightedGraph) -> tuple[_SubsetCheck, ...]:
         if u in g.exceptional or v in g.exceptional:
             on_exceptional |= 1 << i
     checks = []
-    for mask in connected_subset_masks(g, proper=True):
+    for mask in connected_subset_masks(g):
         w, delta, boundary = _subcurve(g, mask)
         exempt = not boundary & ~on_exceptional
         checks.append(_SubsetCheck(mask, w, delta, boundary, exempt))
@@ -144,52 +146,39 @@ def _mask_sum(md, mask: int) -> int:
     return acc
 
 
-def _subset_sums(md) -> list[int]:
-    """sums[mask] = the sum of md over the coordinates of mask, for every
-    mask, by one doubling pass per coordinate."""
-    sums = [0]
-    for x in md:
-        sums += [s + x for s in sums]
-    return sums
-
-
 class _SubcurveBounds:
     """The cleared bounds of every connected proper subcurve of g at total
     degree d, built once and shared by every multidegree of that degree:
-    scale * deg_Z >= threshold  <=>  deg_Z >= m_Z(d), scale = 2*(2g-2)."""
+    scale * deg_Z >= threshold  <=>  deg_Z >= m_Z(d), scale = 2*(2g-2).
+    `tight` holds (check, m_Z(d)) for each subcurve whose m_Z(d) is an
+    integer, the only ones a multidegree can meet with equality."""
 
-    __slots__ = ("checks", "thresholds", "scale")
+    __slots__ = ("checks", "thresholds", "scale", "tight")
 
     def __init__(self, g: WeightedGraph, genus: int, d: int):
         self.checks = _balance_checks(g)
         self.thresholds = [_threshold(genus, d, c.w, c.delta) for c in self.checks]
-        self.scale = 2 * (2 * genus - 2)
-
-    def raised(self) -> list[tuple[int, int]]:
-        """(mask, threshold + 1) of each non-exempt subcurve whose threshold
-        scale * deg_Z can meet: a balanced multidegree is strictly balanced
-        iff it also meets these."""
-        scale = self.scale
-        return [
-            (c.mask, t + 1)
+        self.scale = scale = 2 * (2 * genus - 2)
+        self.tight = [
+            (c, t // scale)
             for c, t in zip(self.checks, self.thresholds)
-            if not c.exempt and t % scale == 0
+            if t % scale == 0
         ]
 
-    def meets(self, md, bounds) -> bool:
-        """scale * deg_Z >= threshold for every (mask, threshold) of bounds."""
-        scale = self.scale
-        return all(scale * _mask_sum(md, mask) >= t for mask, t in bounds)
+    def balanced(self, lows, highs, d: int) -> list[tuple[int, ...]]:
+        """The kernel's multidegrees of total degree d in the box lows..highs
+        that meet every bound, lexicographically ordered."""
+        masks = [c.mask for c in self.checks]
+        return _kernel.enumerate_box(lows, highs, d, masks, self.thresholds, self.scale)
+
+    def is_strict(self, md) -> bool:
+        """A balanced md is strictly balanced iff it meets no non-exempt
+        tight check with equality."""
+        return all(c.exempt or _mask_sum(md, c.mask) != m for c, m in self.tight)
 
     def equalities(self, md) -> list[_SubsetCheck]:
         """The checks of the equality subcurves of md, in mask order."""
-        scale = self.scale
-        sums = _subset_sums(md)
-        return [
-            c
-            for c, t in zip(self.checks, self.thresholds)
-            if scale * sums[c.mask] == t
-        ]
+        return [c for c, m in self.tight if _mask_sum(md, c.mask) == m]
 
 
 def _meets_bounds(g: WeightedGraph, multidegree, strict: bool) -> bool:
@@ -197,11 +186,11 @@ def _meets_bounds(g: WeightedGraph, multidegree, strict: bool) -> bool:
     md = check_multidegree(multidegree, g.n_vertices)
     if any(md[v] != 1 for v in g.exceptional):
         return False
-    bounds = _SubcurveBounds(g, genus, sum(md))
-    masks = (c.mask for c in bounds.checks)
-    if not bounds.meets(md, zip(masks, bounds.thresholds)):
+    d = sum(md)
+    bounds = _SubcurveBounds(g, genus, d)
+    if not bounds.balanced(md, md, d):
         return False
-    return not strict or bounds.meets(md, bounds.raised())
+    return not strict or bounds.is_strict(md)
 
 
 def is_balanced(g: WeightedGraph, multidegree) -> bool:
@@ -279,12 +268,8 @@ def enumerate_balanced(g: WeightedGraph, d: int) -> BalancedSet:
     genus = _require_genus(g)
     lows, highs = _vertex_bounds(g, genus, d)
     bounds = _SubcurveBounds(g, genus, d)
-    masks = [c.mask for c in bounds.checks]
-    members = tuple(
-        _kernel.enumerate_box(lows, highs, d, masks, bounds.thresholds, bounds.scale)
-    )
-    raised = bounds.raised()
-    strict = tuple(md for md in members if bounds.meets(md, raised))
+    members = tuple(bounds.balanced(lows, highs, d))
+    strict = tuple(md for md in members if bounds.is_strict(md))
     return BalancedSet(degree=d, members=members, strict_members=strict)
 
 

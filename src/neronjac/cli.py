@@ -141,7 +141,7 @@ def _verdict_records(g, gid, degrees, columns):
             "neron_criterion": verdict.routes["criterion"],
             "neron_weakly_general": verdict.routes["weakly_general"],
             "tree_like": tree,
-            "d_general": balance.is_d_general(g, d, sets=sets),
+            "d_general": bs.d_general,
             "weakly_d_general": verdict.routes["weakly_general"],
         }
         yield {c: rec[c] for c in columns}

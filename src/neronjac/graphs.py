@@ -74,7 +74,7 @@ class WeightedGraph:
                 "vertex weights, edge ends and exceptional marks must be integers"
             ) from None
         except ValueError:
-            # raised only by unpacking an edge that is not a pair
+            # only unpacking an edge that is not a pair raises it here
             raise GraphFormatError("each edge must be a pair of vertex indices") from None
         exceptional = frozenset(exceptional)
         if not weights:
@@ -210,16 +210,14 @@ def _component_masks(adj) -> list[int]:
     return out
 
 
-def connected_subset_masks(g: WeightedGraph, proper: bool = True) -> list[int]:
-    """Bitmasks of nonempty connected vertex subsets, ascending as integers:
-    those that _reach fills from their least vertex."""
+def connected_subset_masks(g: WeightedGraph) -> list[int]:
+    """Bitmasks of nonempty connected proper vertex subsets, ascending as
+    integers: those that _reach fills from their least vertex."""
     adj = g.adjacency_masks
-    top = (1 << g.n_vertices) - 1
     return [
         m
-        for m in range(1, top + 1)
-        if not (proper and m == top)
-        and _reach(adj, (m & -m).bit_length() - 1, m) == m
+        for m in range(1, (1 << g.n_vertices) - 1)
+        if _reach(adj, (m & -m).bit_length() - 1, m) == m
     ]
 
 
@@ -468,11 +466,16 @@ def _compositions(total: int, parts: int):
 def census(genus: int, max_vertices: int) -> list[WeightedGraph]:
     """All connected stable weighted graphs of the given genus with at most
     max_vertices vertices, one per isomorphism class, in deterministic order.
+
+    A stable graph of genus g has at most 2g - 2 vertices: the terms of
+    sum_v (2 w_v - 2 + val_v) = 2g - 2 are each at least 1.  So a larger
+    max_vertices reads as 2g - 2, before the cap is applied.
     """
     if genus < 2:
         raise ValueError("genus must be at least 2")
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
+    max_vertices = min(max_vertices, 2 * genus - 2)
     if max_vertices > MAX_CENSUS_VERTICES:
         raise ValueError(
             f"census capped at {MAX_CENSUS_VERTICES} vertices"

@@ -5,7 +5,7 @@ bridges and d strictly balanced on the blow-up at S.  The verdict is
 computed by three independent routes (component count vs class-group order,
 the boundary criterion on equality subcurves, and weak d-generality of the
 bridge contraction); they must agree, and a disagreement or a uniqueness
-failure in the extremal-pair search is raised as a hard error rather than
+failure in the extremal-pair search raises a hard error rather than being
 returned as data.
 """
 

@@ -83,6 +83,38 @@ class TestIsBalanced:
         with pytest.raises(ValueError):
             is_balanced(theta, (1,))
 
+    def test_padded_box_against_oracle(self):
+        # every point of the box, members and non-members
+        for g, d, box in _padded_box_cases():
+            balanced, strict = map(
+                set,
+                brute_force_balanced(
+                    list(g.weights), list(g.edges), set(g.exceptional), d, box
+                ),
+            )
+            for md in _box_points(box, d):
+                assert is_balanced(g, md) == (md in balanced), (g, md)
+                assert is_strictly_balanced(g, md) == (md in strict), (g, md)
+
+
+def _padded_box_cases():
+    """(g, d, box): the genus-2 and genus-3 census graphs with at most 3
+    vertices and their blow-ups at every bridge, for d in [-g, 3g], with
+    the per-vertex box of the balanced multidegrees widened by one on each
+    side, so that it also holds non-members next to every bound."""
+    for genus in (2, 3):
+        for base in census(genus, 3):
+            for g in (base, blow_up(base, separating_edges(base))):
+                for d in range(-genus, 3 * genus + 1):
+                    lows, highs = _vertex_bounds(g, genus, d)
+                    yield g, d, [(lo - 1, hi + 1) for lo, hi in zip(lows, highs)]
+
+
+def _box_points(box, d):
+    """The points of box with coordinate sum d."""
+    ranges = (range(lo, hi + 1) for lo, hi in box)
+    return [md for md in itertools.product(*ranges) if sum(md) == d]
+
 
 class TestEnumerateBalanced:
     def test_theta_degree_one(self, theta):
@@ -148,8 +180,8 @@ class TestEnumerateBalanced:
     def test_strict_is_balance_at_raised_thresholds(self):
         """The strict members are what the kernel finds with the threshold
         of every non-exempt subcurve raised by one, in the same order,
-        although only the raised thresholds divisible by the scale are
-        tested."""
+        although the strict filter reads only the tight checks, whose
+        thresholds the scale divides."""
         for g in _bound_cases():
             genus = g.genus
             scale = 2 * (2 * genus - 2)
@@ -263,19 +295,15 @@ def _brute_force_equality_subcurves(g, md):
 
 class TestEqualitySubcurves:
     def test_against_fraction_brute_force(self):
+        # every point of the box, members and non-members
         checked = 0
-        for genus in (2, 3):
-            for base in census(genus, 3):
-                for g in (base, blow_up(base, separating_edges(base))):
-                    for d in range(-genus, 3 * genus + 1):
-                        for md in enumerate_balanced(g, d).members:
-                            found = equality_subcurves(g, md)
-                            assert len(found) == len(set(found))
-                            assert set(found) == _brute_force_equality_subcurves(
-                                g, md
-                            )
-                            checked += 1
-        assert checked > 1000
+        for g, d, box in _padded_box_cases():
+            for md in _box_points(box, d):
+                found = equality_subcurves(g, md)
+                assert len(found) == len(set(found))
+                assert set(found) == _brute_force_equality_subcurves(g, md)
+                checked += 1
+        assert checked > 10000
 
     def test_theta(self, theta):
         # m_{v}(1) = -1 on each vertex, and m_{v}(2) = -1/2 is never met

@@ -225,6 +225,14 @@ class TestCensus:
         code, _ = invoke(["census", "--genus", "9", "--degree", "0"])
         assert code == 1
 
+    def test_max_vertices_above_2g_minus_2(self):
+        # a stable genus-3 graph has at most 4 vertices, so 7 asks for the
+        # same census as 4
+        argv = ["census", "--genus", "3", "--degree", "1", "--max-vertices"]
+        code, at_four = invoke(argv + ["4"])
+        assert code == 0
+        assert invoke(argv + ["7"]) == (0, at_four)
+
 
 # sha256 of stdout in table and json-lines format, each recorded before a
 # change that rewrote the command's code path; the graph files are the

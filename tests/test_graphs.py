@@ -217,7 +217,7 @@ class TestSubcurveStats:
         # proper Z
         for g in census(genus, mv):
             full = (1 << g.n_vertices) - 1
-            for mask in connected_subset_masks(g, proper=True):
+            for mask in connected_subset_masks(g):
                 w, delta, boundary = _subcurve(g, mask)
                 wc, delta_c, boundary_c = _subcurve(g, full ^ mask)
                 assert w + wc == 2 * g.genus - 2
@@ -226,11 +226,11 @@ class TestSubcurveStats:
 
 class TestConnectedSubcurves:
     def test_theta_proper(self, theta):
-        assert len(connected_subset_masks(theta, proper=True)) == 2
+        assert len(connected_subset_masks(theta)) == 2
 
     def test_single_vertex(self):
         g = WeightedGraph((2,), ())
-        assert connected_subset_masks(g, proper=True) == []
+        assert connected_subset_masks(g) == []
 
     def test_path3(self, path3):
         # {0}, {1}, {0, 1}, {2}, {1, 2}, ascending as masks; {0, 2} is not
@@ -442,13 +442,21 @@ class TestCensus:
     def test_deterministic(self):
         assert census(2, 2) == census(2, 2)
 
+    def test_max_vertices_read_as_2g_minus_2(self):
+        # a stable graph of genus g has at most 2g - 2 vertices; 7 and 42
+        # are the published counts (Maggiolo-Pagani)
+        genus2 = census(2, 6)
+        assert genus2 == census(2, 2) and len(genus2) == 7
+        genus3 = census(3, 6)
+        assert genus3 == census(3, 4) and len(genus3) == 42
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             census(1, 2)
         with pytest.raises(ValueError):
             census(2, 0)
-        with pytest.raises(ValueError):
-            census(2, 7)
+        with pytest.raises(ValueError, match="capped at 6"):
+            census(5, 7)
 
 
 class TestIsomorphism:

@@ -9,8 +9,8 @@ generator for brute-force cross-checks on small graphs.
 from ._kernel import KERNEL_NAME
 from .balance import (
     BalancedSet,
-    BalancedSets,
     alpha,
+    d_special_subcurve,
     enumerate_balanced,
     equality_subcurves,
     is_balanced,

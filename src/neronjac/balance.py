@@ -26,6 +26,10 @@ scale divides, each with its integer bound, are listed once as the tight
 checks.  Every equality question reads that list: the equality subcurves,
 and strictness, which asks that every tight check met with equality be
 exempt.  The public bound m_Z(d) is an exact Fraction.
+
+d-generality reads no kernel: d_special_subcurve finds a tight check with
+a connected complement, which exists iff a stable graph is d-special.
+The weakly-general Neron route reads it on the bridge contraction.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from functools import lru_cache
 from . import _kernel
 from .graphs import (
     WeightedGraph,
+    _reach,
     check_multidegree,
     connected_subset_masks,
     contract_separating,
@@ -181,24 +186,25 @@ class _SubcurveBounds:
         return [c for c, m in self.tight if _mask_sum(md, c.mask) == m]
 
 
-def _meets_bounds(g: WeightedGraph, multidegree, strict: bool) -> bool:
+def _balanced_bounds(g: WeightedGraph, multidegree):
+    """(md, bounds): the checked multidegree, and the cleared bounds of its
+    degree when it is balanced, else None."""
     genus = _require_genus(g)
     md = check_multidegree(multidegree, g.n_vertices)
     if any(md[v] != 1 for v in g.exceptional):
-        return False
+        return md, None
     d = sum(md)
     bounds = _SubcurveBounds(g, genus, d)
-    if not bounds.balanced(md, md, d):
-        return False
-    return not strict or bounds.is_strict(md)
+    return md, bounds if bounds.balanced(md, md, d) else None
 
 
 def is_balanced(g: WeightedGraph, multidegree) -> bool:
-    return _meets_bounds(g, multidegree, strict=False)
+    return _balanced_bounds(g, multidegree)[1] is not None
 
 
 def is_strictly_balanced(g: WeightedGraph, multidegree) -> bool:
-    return _meets_bounds(g, multidegree, strict=True)
+    md, bounds = _balanced_bounds(g, multidegree)
+    return bounds is not None and bounds.is_strict(md)
 
 
 def equality_subcurves(g: WeightedGraph, multidegree) -> list[frozenset[int]]:
@@ -273,59 +279,43 @@ def enumerate_balanced(g: WeightedGraph, d: int) -> BalancedSet:
     return BalancedSet(degree=d, members=members, strict_members=strict)
 
 
-class BalancedSets:
-    """enumerate_balanced(h, d) for one degree d, computed once per graph h.
+def d_special_subcurve(g: WeightedGraph, d: int) -> frozenset[int] | None:
+    """The first connected proper Z of the stable graph g, in mask order,
+    with Z^c connected and m_Z(d) an integer; None when there is none.
 
-    Meant to live for one (graph, degree) verdict: create one, pass it to
-    every call of that verdict as the `sets` keyword, and drop it when the
-    verdict ends.  It holds every balanced set it has computed, keyed by
-    graph equality, so a blow-up at the empty bridge set, or the bridge
-    contraction of a bridge-free graph, shares the set of the graph itself.
+    g is d-general (every balanced multidegree of degree d is strictly
+    balanced) iff there is none: L. Caporaso, "Neron models and
+    compactified Picard schemes over the moduli stack of stable curves",
+    Amer. J. Math. 130 (2008).  One direction is short.  Let a balanced md
+    meet its bound on a connected Z, and let Y_i be the components of Z^c.
+    Each Y_i^c is connected, so deg_{Y_i} <= m_{Y_i}(d) + delta_{Y_i}; these
+    sum to deg_{Z^c} = d - m_Z(d) = m_{Z^c}(d) + delta_Z, so md meets its
+    bound, an integer, on every Y_i^c, whose complement Y_i is connected.
     """
-
-    __slots__ = ("degree", "_sets")
-
-    def __init__(self, degree: int):
-        self.degree = degree
-        self._sets: dict[WeightedGraph, BalancedSet] = {}
-
-    def __call__(self, h: WeightedGraph) -> BalancedSet:
-        bs = self._sets.get(h)
-        if bs is None:
-            bs = self._sets[h] = enumerate_balanced(h, self.degree)
-        return bs
-
-
-def _verdict_sets(d: int, sets: BalancedSets | None) -> BalancedSets:
-    """The caller's BalancedSets for degree d, or a fresh one."""
-    if sets is None:
-        return BalancedSets(d)
-    if sets.degree != d:
-        raise ValueError(f"balanced sets are for degree {sets.degree}, not {d}")
-    return sets
-
-
-def is_d_general(
-    g: WeightedGraph, d: int, *, sets: BalancedSets | None = None
-) -> bool:
-    """True iff every balanced multidegree of total degree d is strictly
-    balanced.  `sets`, if given, is the BalancedSets of the (graph, degree)
-    verdict this call belongs to."""
     if not g.is_stable:
         raise ValueError("d-generality is defined for stable graphs")
-    return _verdict_sets(d, sets)(g).d_general
+    genus = _require_genus(g)
+    adj = g.adjacency_masks
+    full = (1 << g.n_vertices) - 1
+    for c, _ in _SubcurveBounds(g, genus, d).tight:
+        rest = full & ~c.mask
+        if _reach(adj, (rest & -rest).bit_length() - 1, rest) == rest:
+            return frozenset(_bits(c.mask))
+    return None
 
 
-def is_weakly_d_general(
-    g: WeightedGraph, d: int, *, sets: BalancedSets | None = None
-) -> bool:
-    """True iff the bridge contraction of g is d-general.  `sets`, if
-    given, is the BalancedSets of the (graph, degree) verdict this call
-    belongs to."""
+def is_d_general(g: WeightedGraph, d: int) -> bool:
+    """True iff every balanced multidegree of total degree d on the stable
+    graph g is strictly balanced, by the criterion of d_special_subcurve."""
+    return d_special_subcurve(g, d) is None
+
+
+def is_weakly_d_general(g: WeightedGraph, d: int) -> bool:
+    """True iff the bridge contraction of the stable graph g is d-general."""
     if not g.is_stable:
         raise ValueError("weak d-generality is defined for stable graphs")
     contracted, _ = contract_separating(g)
-    return is_d_general(contracted, d, sets=sets)
+    return is_d_general(contracted, d)
 
 
 def alpha(g: WeightedGraph, multidegree) -> tuple[int, ...]:

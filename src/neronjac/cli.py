@@ -122,9 +122,8 @@ def _verdict_records(g, gid, degrees, columns):
     cg = classgroup.class_group(g)
     tree = graphs.is_tree_like(g)
     for d in degrees:
-        sets = balance.BalancedSets(d)  # shared by this verdict only
-        bs = sets(g)
-        verdict = neron.is_neron_type(g, d, route="all", sets=sets)
+        bs = balance.enumerate_balanced(g, d)
+        verdict = neron.is_neron_type(g, d, route="all", balanced=bs)
         rec = {
             "graph": gid,
             "genus": g.genus,
@@ -203,8 +202,7 @@ CENSUS_COLUMNS = [
 
 
 def cmd_census(args):
-    if not 2 <= args.genus <= 5:
-        raise ValueError("census genus must be between 2 and 5")
+    locus.check_census_genus(args.genus)
     return census_rows(args.genus, args.max_vertices, parse_degrees(args.degree))
 
 
@@ -221,7 +219,8 @@ def cmd_vine_scan(args):
             "d_special": not bs.d_general,
         }
         for d in parse_degrees(args.degree)
-        for v, g, bs in locus.balanced_vines(args.genus, d, args.min_delta)
+        for v, g in locus.stable_vines(args.genus, args.min_delta)
+        for bs in [balance.enumerate_balanced(g, d)]
     ]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .balance import enumerate_balanced, is_d_general
+from .balance import d_special_subcurve, is_d_general
 from .graphs import WeightedGraph, census
 
 
@@ -40,21 +40,21 @@ def vine(g1: int, g2: int, delta: int) -> WeightedGraph:
     return g
 
 
-def balanced_vines(genus: int, d: int, min_delta: int = 1):
-    """(parameters, graph, balanced set at degree d) of every stable vine
-    curve of the given genus with at least min_delta nodes, ordered by
-    (g1, g2)."""
+def stable_vines(genus: int, min_delta: int = 1):
+    """(parameters, graph) of every stable vine curve of the given genus
+    with at least min_delta nodes, ordered by (g1, g2)."""
     if genus < 2:
         raise ValueError("genus must be at least 2")
     for g1 in range(genus + 1):
         for g2 in range(g1, genus + 1):
             delta = genus - g1 - g2 + 1
-            if delta < max(1, min_delta):
+            if delta < min_delta:
                 continue
-            g = WeightedGraph((g1, g2), ((0, 1),) * delta)
-            if not g.is_stable:
+            try:
+                g = vine(g1, g2, delta)
+            except ValueError:  # no node, or unstable
                 continue
-            yield VineCurve(g1, g2, delta), g, enumerate_balanced(g, d)
+            yield VineCurve(g1, g2, delta), g
 
 
 def d_special_vine_scan(genus: int, d: int, min_delta: int = 1) -> list[VineCurve]:
@@ -62,8 +62,8 @@ def d_special_vine_scan(genus: int, d: int, min_delta: int = 1) -> list[VineCurv
     min_delta nodes, whose graph is d-special; ordered by (g1, g2)."""
     return [
         v
-        for v, _, bs in balanced_vines(genus, d, min_delta)
-        if not bs.d_general
+        for v, g in stable_vines(genus, min_delta)
+        if d_special_subcurve(g, d) is not None
     ]
 
 
@@ -97,6 +97,12 @@ def codim_report(genus: int, d: int) -> CodimReport:
     )
 
 
+def check_census_genus(genus: int) -> None:
+    """The one genus range of the census sweeps: census and audit."""
+    if not 2 <= genus <= 5:
+        raise ValueError("census genus must be between 2 and 5")
+
+
 @dataclass(frozen=True)
 class AuditRow:
     degree: int
@@ -119,8 +125,7 @@ def gcd_remark_audit(
     """Compare the two candidate gcd criteria for "every stable curve of
     genus g is d-general" against the census truth; emitted as a table, not
     asserted, because the two moduli 2g-1 and 2g-2 genuinely differ."""
-    if genus not in (2, 3, 4):
-        raise ValueError("audit supported for genus 2, 3 and 4")
+    check_census_genus(genus)
     graphs = census(genus, max_vertices)
     rows = []
     for d in d_range:

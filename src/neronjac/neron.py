@@ -6,7 +6,8 @@ computed by three independent routes (component count vs class-group order,
 the boundary criterion on equality subcurves, and weak d-generality of the
 bridge contraction); they must agree, and a disagreement or a uniqueness
 failure in the extremal-pair search raises a hard error rather than being
-returned as data.
+returned as data.  The weakly-general route reads the integrality
+criterion of balance.d_special_subcurve and calls no kernel.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import itertools
 from dataclasses import dataclass
 
 from .balance import (
-    BalancedSets,
+    BalancedSet,
+    _balanced_bounds,
     _bits,
     _require_genus,
     _SubcurveBounds,
-    _verdict_sets,
     enumerate_balanced,
-    is_balanced,
     is_weakly_d_general,
 )
 from .classgroup import class_group
@@ -48,11 +48,11 @@ class RouteDisagreement(TheoremCheckError):
 def s_of_mu(g: WeightedGraph, multidegree) -> frozenset[int]:
     """Union of the boundary edge sets of the equality subcurves of a
     balanced multidegree."""
-    md = check_multidegree(multidegree, g.n_vertices)
-    if not is_balanced(g, md):
+    md, bounds = _balanced_bounds(g, multidegree)
+    if bounds is None:
         raise ValueError("multidegree is not balanced")
     out = 0
-    for c in _SubcurveBounds(g, g.genus, sum(md)).equalities(md):
+    for c in bounds.equalities(md):
         out |= c.boundary
     return frozenset(_bits(out))
 
@@ -72,13 +72,10 @@ def _push_down_matches(g: WeightedGraph, edge_subset, cand, md, cg) -> bool:
     contains non-separating edges, moving a unit across an edge changes the
     class, and the correct side varies per edge.
     """
-    subset = sorted(set(edge_subset))
     n = g.n_vertices
     base = list(cand[:n])
-    options = []
-    for k, i in enumerate(subset):
-        u, v = g.edges[i]
-        options.append((u,) if u == v else (u, v))
+    ends = [g.edges[i] for i in sorted(set(edge_subset))]
+    options = [(u,) if u == v else (u, v) for u, v in ends]
     for combo in itertools.product(*options):
         out = base[:]
         for k, target in enumerate(combo):
@@ -123,31 +120,37 @@ class Stratum:
     multidegree: tuple[int, ...]  # strictly balanced on the blow-up
 
 
+def _own_set(g: WeightedGraph, d: int, balanced: BalancedSet | None) -> BalancedSet:
+    """g's balanced set at degree d: the caller's, or a new enumeration."""
+    if balanced is not None and balanced.degree != d:
+        raise ValueError(f"balanced set is for degree {balanced.degree}, not {d}")
+    return enumerate_balanced(g, d) if balanced is None else balanced
+
+
 def strata_index(
-    g: WeightedGraph, d: int, *, sets: BalancedSets | None = None
+    g: WeightedGraph, d: int, *, balanced: BalancedSet | None = None
 ) -> list[Stratum]:
     """All pairs (S, d) with S a subset of bridges and d strictly balanced
-    on blow_up(g, S); ordered by (len(S), S, multidegree).  `sets`, if
-    given, is the BalancedSets of the (graph, degree) verdict this call
-    belongs to."""
+    on blow_up(g, S); ordered by (len(S), S, multidegree).  `balanced`, if
+    given, is enumerate_balanced(g, d), read for the empty S."""
     if not g.is_stable:
         raise ValueError("strata are defined for stable graphs")
-    sets = _verdict_sets(d, sets)
+    own = _own_set(g, d, balanced)
     bridges = sorted(separating_edges(g))
     out = []
     for size in range(len(bridges) + 1):
         for subset in itertools.combinations(bridges, size):
-            hat = blow_up(g, subset)
-            for md in sets(hat).strict_members:
+            bs = enumerate_balanced(blow_up(g, subset), d) if subset else own
+            for md in bs.strict_members:
                 out.append(Stratum(edges=subset, multidegree=md))
     return out
 
 
 def component_count(
-    g: WeightedGraph, d: int, *, sets: BalancedSets | None = None
+    g: WeightedGraph, d: int, *, balanced: BalancedSet | None = None
 ) -> int:
-    """Number of strata (S, d); `sets` as for strata_index."""
-    return len(strata_index(g, d, sets=sets))
+    """Number of strata (S, d); `balanced` as for strata_index."""
+    return len(strata_index(g, d, balanced=balanced))
 
 
 ROUTES = ("count", "criterion", "weakly_general")
@@ -158,20 +161,21 @@ def _route_count(count: int, order: int) -> bool:
     return count == order
 
 
-def _route_criterion(g: WeightedGraph, d: int, sets: BalancedSets) -> bool:
+def _route_criterion(g: WeightedGraph, d: int, balanced: BalancedSet) -> bool:
     # every equality subcurve of every balanced multidegree must have its
     # boundary inside the bridge set
     bridges = sum(1 << i for i in separating_edges(g))
     bounds = _SubcurveBounds(g, g.genus, d)
     return all(
         not c.boundary & ~bridges
-        for md in sets(g).members
+        for md in balanced.members
         for c in bounds.equalities(md)
     )
 
 
-def _route_weakly_general(g: WeightedGraph, d: int, sets: BalancedSets) -> bool:
-    return is_weakly_d_general(g, d, sets=sets)
+def _route_weakly_general(g: WeightedGraph, d: int) -> bool:
+    # the integrality criterion on the bridge contraction: no kernel
+    return is_weakly_d_general(g, d)
 
 
 @dataclass(frozen=True)
@@ -187,29 +191,30 @@ def is_neron_type(
     d: int,
     route: str = "all",
     *,
-    sets: BalancedSets | None = None,
+    balanced: BalancedSet | None = None,
 ) -> NeronVerdict:
     """Decide whether the degree-d compactified Jacobian is of Neron type.
 
     route selects one of 'count', 'criterion', 'weakly_general', or 'all';
     with 'all' the three independent computations must agree, and a
-    disagreement raises RouteDisagreement.  `sets`, if given, is the
-    BalancedSets of this (graph, degree) verdict; without it the verdict
-    makes its own, which is dropped when the verdict returns.
+    disagreement raises RouteDisagreement.  `balanced`, if given, is
+    enumerate_balanced(g, d), which the count and criterion routes read;
+    without it the verdict enumerates g's set when one of them is selected.
     """
     _require_genus(g)
     if not g.is_stable:
         raise ValueError("Neron-type verdicts are defined for stable graphs")
     if route != "all" and route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    sets = _verdict_sets(d, sets)
     selected = ROUTES if route == "all" else (route,)
+    if balanced is not None or route != "weakly_general":
+        balanced = _own_set(g, d, balanced)  # read by count and criterion
     order = class_group(g).order
-    count = component_count(g, d, sets=sets) if "count" in selected else None
+    count = component_count(g, d, balanced=balanced) if "count" in selected else None
     impls = {
         "count": lambda: _route_count(count, order),
-        "criterion": lambda: _route_criterion(g, d, sets),
-        "weakly_general": lambda: _route_weakly_general(g, d, sets),
+        "criterion": lambda: _route_criterion(g, d, balanced),
+        "weakly_general": lambda: _route_weakly_general(g, d),
     }
     results = {name: impls[name]() for name in selected}
     values = set(results.values())

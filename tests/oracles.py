@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the code paths it verifies: balanced
 sets are recomputed with Fraction arithmetic over explicit boxes checking
-*all* subcurves (not only connected ones), spanning trees are counted by
-deletion-contraction, class groups by direct coset enumeration, and
-canonical forms by trying every class-respecting relabeling.
+*all* subcurves (not only connected ones), d-generality by the integrality
+criterion over vertex sets with a set-based connectivity test, spanning
+trees are counted by deletion-contraction, class groups by direct coset
+enumeration, and canonical forms by trying every class-respecting
+relabeling.
 """
 
 from fractions import Fraction
@@ -22,6 +24,42 @@ def subcurve_w_delta(weights, edges, zs):
     delta = sum(1 for u, v in edges if (u in zs) != (v in zs))
     gz = sum(weights[v] for v in zs) + internal - len(zs) + 1
     return 2 * gz - 2 + delta, delta
+
+
+def spans_connected(edges, zs):
+    """Whether the nonempty vertex set zs induces a connected subgraph."""
+    start = min(zs)
+    seen, frontier = {start}, [start]
+    while frontier:
+        x = frontier.pop()
+        for u, v in edges:
+            for a, b in ((u, v), (v, u)):
+                if a == x and b in zs and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+    return seen == set(zs)
+
+
+def integral_vine_splits(weights, edges, d):
+    """The vertex sets Z with Z and its complement both nonempty and
+    connected and m_Z(d) = d w_Z / (2g - 2) - delta_Z / 2 an integer.  By
+    Caporaso's criterion a stable graph is d-general iff there is none."""
+    n = len(weights)
+    genus = sum(weights) + len(edges) - n + 1
+    assert genus >= 2
+    everything = frozenset(range(n))
+    out = []
+    for zs in all_subsets(n):
+        rest = everything - zs
+        if not rest or not spans_connected(edges, zs):
+            continue
+        if not spans_connected(edges, rest):
+            continue
+        w, delta = subcurve_w_delta(weights, edges, zs)
+        m = Fraction(d * w, 2 * genus - 2) - Fraction(delta, 2)
+        if m.denominator == 1:
+            out.append(zs)
+    return out
 
 
 def brute_force_balanced(weights, edges, exceptional, d, box):

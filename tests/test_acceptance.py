@@ -7,16 +7,20 @@ genus 2 and 3 up to 4 vertices with d in [-2g, 4g], genus 4 up to 3
 vertices where noted.
 """
 
+import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from neronjac import (
+    WeightedGraph,
     alpha,
     census,
     class_group,
     component_count,
     contract_separating,
+    d_special_subcurve,
     d_special_vine_scan,
     enumerate_balanced,
     extremal_pair,
@@ -28,7 +32,10 @@ from neronjac import (
     vine,
 )
 from neronjac.cli import CENSUS_COLUMNS, census_rows, emit
-from oracles import brute_force_balanced, spanning_tree_count
+from oracles import brute_force_balanced, integral_vine_splits, spanning_tree_count
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import random_stable_graph  # noqa: E402
 
 
 def _passed(n, message):
@@ -201,3 +208,46 @@ def test_criterion_10_determinism():
         outputs.append(buf.getvalue().encode())
     assert outputs[0] == outputs[1]
     _passed(10, "consecutive census runs are byte-identical")
+
+
+def _random_graphs(count, seed=11):
+    """Random stable graphs of 3 to 8 vertices with loops and parallel
+    edges; random_stable_graph retries forever unless n <= 2g - 2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, 8)
+        least = (n + 3) // 2  # the least genus with n <= 2g - 2
+        genus = rng.randint(least, least + 1)
+        weights, edges = random_stable_graph(rng, n, genus, (1, 2))
+        out.append(WeightedGraph(weights, edges))
+    return out
+
+
+def _integrality_agrees(g, d, verdict):
+    """The integrality criterion, in Fractions (oracle) and in the library:
+    on g against the enumeration, on g's bridge contraction against every
+    route of the Neron verdict."""
+    splits = integral_vine_splits(g.weights, g.edges, d)
+    z = d_special_subcurve(g, d)
+    assert (z is None) == (not splits) == enumerate_balanced(g, d).d_general
+    assert z is None or z in splits
+    contracted, _ = contract_separating(g)
+    weakly = not integral_vine_splits(contracted.weights, contracted.edges, d)
+    assert (d_special_subcurve(contracted, d) is None) == weakly
+    assert verdict.verdict == weakly
+    assert set(verdict.routes.values()) == {weakly}
+
+
+def test_criterion_11_integrality_criterion(census_23, verdicts):
+    checked = 0
+    for genus, g, d in census_23:
+        if -genus <= d <= 3 * genus:
+            _integrality_agrees(g, d, verdicts[(g, d)])
+            checked += 1
+    rng = random.Random(12)
+    for g in _random_graphs(40):
+        for d in rng.sample(range(2 * g.genus - 2), 3):
+            _integrality_agrees(g, d, is_neron_type(g, d, route="all"))
+            checked += 1
+    _passed(11, f"d-generality is the integrality criterion on {checked} pairs")

@@ -5,23 +5,27 @@ from fractions import Fraction
 import pytest
 
 from neronjac import (
-    BalancedSets,
     WeightedGraph,
     alpha,
     blow_up,
     census,
+    component_count,
+    contract_separating,
+    d_special_subcurve,
     enumerate_balanced,
     equality_subcurves,
     is_balanced,
     is_d_general,
+    is_neron_type,
     is_strictly_balanced,
     is_weakly_d_general,
     m_lower_bound,
     separating_edges,
+    strata_index,
 )
 from neronjac import _kernel_py
 from neronjac.balance import _balance_checks, _threshold, _vertex_bounds
-from oracles import brute_force_balanced, subcurve_w_delta
+from oracles import brute_force_balanced, spans_connected, subcurve_w_delta
 
 
 class TestLowerBound:
@@ -320,12 +324,8 @@ class TestEqualitySubcurves:
 
 
 class TestBalancedSets:
-    def test_same_as_enumerate_balanced(self, theta_pendant):
-        sets = BalancedSets(2)
-        assert sets(theta_pendant) == enumerate_balanced(theta_pendant, 2)
-
-    def test_computes_each_graph_once(self, theta, monkeypatch):
-        from neronjac import balance
+    def test_computes_each_graph_once(self, theta, theta_pendant, monkeypatch):
+        from neronjac import balance, neron
 
         calls = []
         real = balance.enumerate_balanced
@@ -334,27 +334,25 @@ class TestBalancedSets:
             calls.append(h)
             return real(h, d)
 
-        monkeypatch.setattr(balance, "enumerate_balanced", counted)
-        sets = BalancedSets(1)
-        first = sets(theta)
-        # an equal graph built separately shares the entry
-        assert sets(blow_up(theta, ())) is first
-        sets(blow_up(theta, (0,)))
-        assert calls == [theta, blow_up(theta, (0,))]
+        for mod in (balance, neron):
+            monkeypatch.setattr(mod, "enumerate_balanced", counted)
+        # the set of an equal graph built separately is shared by the verdict
+        own = counted(blow_up(theta, ()), 1)
+        is_neron_type(theta, 1, balanced=own)
+        assert calls == [theta]
+        # one enumeration per blow-up at a bridge subset, none repeated
+        calls.clear()
+        is_neron_type(theta_pendant, 2)
+        assert calls == [theta_pendant, blow_up(theta_pendant, (3,))]
 
-    def test_degree_mismatch_rejected(self, theta):
-        with pytest.raises(ValueError, match="degree"):
-            is_d_general(theta, 1, sets=BalancedSets(2))
-
-    def test_shared_sets_give_same_answers(self, theta_pendant):
-        for d in range(-3, 6):
-            sets = BalancedSets(d)
-            assert is_d_general(theta_pendant, d, sets=sets) == is_d_general(
-                theta_pendant, d
-            )
-            assert is_weakly_d_general(
-                theta_pendant, d, sets=sets
-            ) == is_weakly_d_general(theta_pendant, d)
+    def test_degree_mismatch_rejected(self, theta_pendant):
+        # a set of another degree is refused, naming both degrees, even where
+        # the verdict would enumerate the blow-ups itself
+        for have, want in ((1, 2), (2, 1), (3, -1)):
+            wrong = enumerate_balanced(theta_pendant, have)
+            for call in (is_neron_type, component_count, strata_index):
+                with pytest.raises(ValueError, match=f"degree {have}, not {want}"):
+                    call(theta_pendant, want, balanced=wrong)
 
 
 class TestGenerality:
@@ -381,8 +379,50 @@ class TestGenerality:
     def test_unstable_rejected(self):
         g = WeightedGraph((0, 2), ((0, 1), (0, 1)))
         assert not g.is_stable
-        with pytest.raises(ValueError):
-            is_d_general(g, 1)
+        for call in (is_d_general, is_weakly_d_general, d_special_subcurve):
+            with pytest.raises(ValueError, match="stable"):
+                call(g, 1)
+
+    def test_special_subcurve_theta(self, theta):
+        # m_{0}(d) = d/2 - 3/2 is an integer exactly when d is odd
+        for d in range(-4, 6):
+            assert d_special_subcurve(theta, d) == (
+                frozenset({0}) if d % 2 else None
+            )
+
+    def test_special_subcurve_is_first_integral_vine_split(self):
+        # the first connected Z in mask order with Z^c connected and
+        # m_Z(d) an integer
+        for genus, mv in ((2, 2), (3, 4), (4, 3)):
+            for g in census(genus, mv):
+                n = g.n_vertices
+                splits = [
+                    zs
+                    for zs in (
+                        frozenset(v for v in range(n) if mask >> v & 1)
+                        for mask in range(1, (1 << n) - 1)
+                    )
+                    if spans_connected(g.edges, zs)
+                    and spans_connected(g.edges, set(range(n)) - zs)
+                ]
+                for d in range(2 * genus - 2):
+                    integral = [
+                        zs for zs in splits
+                        if m_lower_bound(g, zs, d).denominator == 1
+                    ]
+                    assert d_special_subcurve(g, d) == (
+                        integral[0] if integral else None
+                    )
+
+    def test_answers_match_enumeration(self, theta_pendant):
+        contracted, _ = contract_separating(theta_pendant)
+        for d in range(-3, 6):
+            assert is_d_general(theta_pendant, d) == (
+                enumerate_balanced(theta_pendant, d).d_general
+            )
+            assert is_weakly_d_general(theta_pendant, d) == (
+                enumerate_balanced(contracted, d).d_general
+            )
 
 
 class TestAlpha:

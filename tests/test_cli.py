@@ -384,6 +384,25 @@ class TestAudit:
         assert all(r["agree_2g_minus_2"] for r in recs)
         assert not all(r["agree_2g_minus_1"] for r in recs)
 
+    def test_genus5_answers(self):
+        code, out = invoke(
+            [
+                "audit", "--format", "json-lines",
+                "--genus", "5", "--max-vertices", "2", "--degree", "4..5",
+            ]
+        )
+        assert code == 0
+        assert [r["all_general"] for r in json_lines(out)] == [False, True]
+
+    def test_one_genus_range_with_census(self, capsys):
+        for genus in ("1", "6"):
+            for command in ("census", "audit"):
+                code, out = invoke([command, "--genus", genus, "--degree", "0"])
+                assert (code, out) == (1, "")
+                assert capsys.readouterr().err == (
+                    "error: census genus must be between 2 and 5\n"
+                )
+
 
 class TestContract:
     def test_seed_rejected(self, theta_file, capsys):

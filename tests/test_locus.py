@@ -9,7 +9,7 @@ from neronjac import (
     predicted_codim,
     vine,
 )
-from neronjac.locus import balanced_vines
+from neronjac.locus import check_census_genus, stable_vines
 
 
 class TestVine:
@@ -61,12 +61,27 @@ class TestVineScan:
             VineCurve(1, 1, 1),
         ]
 
+    def test_stable_vines(self):
+        found = list(stable_vines(3))
+        assert [v for v, _ in found] == [
+            VineCurve(0, 0, 4),
+            VineCurve(0, 1, 3),
+            VineCurve(1, 1, 2),
+            VineCurve(1, 2, 1),
+        ]
+        assert all(g == vine(v.g1, v.g2, v.delta) for v, g in found)
+        assert [v for v, _ in stable_vines(3, min_delta=3)] == [
+            VineCurve(0, 0, 4),
+            VineCurve(0, 1, 3),
+        ]
+        assert list(stable_vines(3, min_delta=-2)) == found
+
     def test_genus_too_small(self):
         with pytest.raises(ValueError):
             d_special_vine_scan(1, 0)
         for genus in (1, -3):
             with pytest.raises(ValueError, match="genus must be at least 2"):
-                next(balanced_vines(genus, 1))
+                next(stable_vines(genus))
 
     def test_members_are_special_and_consistent(self):
         for genus in (2, 3, 4):
@@ -135,5 +150,13 @@ class TestGcdAudit:
         assert all(r.agree_2g_minus_2 for r in rows)
 
     def test_unsupported_genus(self):
-        with pytest.raises(ValueError):
-            gcd_remark_audit(5, range(3))
+        for genus in (1, 6):
+            with pytest.raises(ValueError, match="census genus must be between 2 and 5"):
+                gcd_remark_audit(genus, range(3))
+
+    def test_genus5(self):
+        # the census sweeps share one genus range, so genus 5 answers too
+        rows = gcd_remark_audit(5, range(4, 12), max_vertices=2)
+        assert all(r.agree_2g_minus_2 for r in rows)
+        for genus in (2, 5):
+            check_census_genus(genus)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from neronjac import (
-    BalancedSets,
+    BalancedSet,
     RouteDisagreement,
     Stratum,
     UniquenessError,
@@ -11,13 +11,16 @@ from neronjac import (
     census,
     blow_up,
     class_group,
+    codim_report,
     component_count,
     contract_separating,
     enumerate_balanced,
     extremal_pair,
+    gcd_remark_audit,
     is_d_general,
     is_neron_type,
     is_tree_like,
+    is_weakly_d_general,
     s_of_mu,
     separating_edges,
     strata_index,
@@ -39,6 +42,22 @@ class TestSOfMu:
     def test_unbalanced_rejected(self, theta):
         with pytest.raises(ValueError):
             s_of_mu(theta, (-2, 3))
+
+    def test_builds_bounds_once(self, theta, theta_pendant, monkeypatch):
+        from neronjac.balance import _SubcurveBounds
+
+        built = []
+        real = _SubcurveBounds.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(_SubcurveBounds, "__init__", counted)
+        for g, md in ((theta, (-1, 2)), (theta, (0, 1)), (theta_pendant, (0, 1, 1))):
+            built.clear()
+            s_of_mu(g, md)
+            assert len(built) == 1
 
 
 class TestExtremalPair:
@@ -191,48 +210,66 @@ class TestGMinusOne:
 
 class TestSharedEnumeration:
     @staticmethod
-    def _touched(g):
-        # the graphs one verdict needs balanced sets of: the blow-ups at
-        # every bridge subset (the empty one is g) and the bridge contraction
+    def _blow_ups(g):
+        # the graphs one verdict enumerates: the blow-ups at every bridge
+        # subset, the empty one (g itself) first
         bridges = sorted(separating_edges(g))
-        out = {contract_separating(g)[0]}
-        for size in range(len(bridges) + 1):
-            for subset in itertools.combinations(bridges, size):
-                out.add(blow_up(g, subset))
-        return out
+        return [
+            blow_up(g, subset)
+            for size in range(len(bridges) + 1)
+            for subset in itertools.combinations(bridges, size)
+        ]
 
-    @pytest.mark.parametrize("genus", [2, 3])
-    def test_one_enumeration_per_distinct_graph(self, genus, monkeypatch):
-        from neronjac import balance
+    @staticmethod
+    def _count(monkeypatch):
+        """Record every enumerate_balanced and kernel call from now on."""
+        from neronjac import _kernel, balance, neron
 
-        calls = []
-        real = balance.enumerate_balanced
+        calls, kernel = [], []
+        enumerate_real, kernel_real = balance.enumerate_balanced, _kernel.enumerate_box
 
         def counted(h, d):
             calls.append((h, d))
-            return real(h, d)
+            return enumerate_real(h, d)
 
-        monkeypatch.setattr(balance, "enumerate_balanced", counted)
+        def counted_kernel(*args):
+            kernel.append(args)
+            return kernel_real(*args)
+
+        for mod in (balance, neron):
+            monkeypatch.setattr(mod, "enumerate_balanced", counted)
+        monkeypatch.setattr(_kernel, "enumerate_box", counted_kernel)
+        return calls, kernel
+
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_one_enumeration_per_distinct_graph(self, genus, monkeypatch):
+        calls, kernel = self._count(monkeypatch)
         for g in census(genus, 4):
-            touched = self._touched(g)
+            hats = self._blow_ups(g)
+            contracted = contract_separating(g)[0]
             for d in range(-genus, 2 * genus + 1):
                 calls.clear()
+                kernel.clear()
                 is_neron_type(g, d)
-                assert len(calls) == len(touched)
-                assert {h for h, _ in calls} == touched
+                # one enumeration per blow-up, none of the contraction, and
+                # no kernel call outside them
+                assert [h for h, _ in calls] == hats
                 assert {e for _, e in calls} == {d}
+                assert len(kernel) == len(hats)
+                if contracted != g:
+                    assert contracted not in {h for h, _ in calls}
 
     def test_caller_sets_are_used(self, theta_pendant, monkeypatch):
-        from neronjac import balance
-
         want = is_neron_type(theta_pendant, 2)
-        sets = BalancedSets(2)
-        for h in self._touched(theta_pendant):
-            sets(h)
-        monkeypatch.setattr(
-            balance, "enumerate_balanced", lambda h, d: pytest.fail("recomputed")
-        )
-        assert is_neron_type(theta_pendant, 2, sets=sets) == want
+        own = enumerate_balanced(theta_pendant, 2)
+        calls, _ = self._count(monkeypatch)
+        assert is_neron_type(theta_pendant, 2, balanced=own) == want
+        assert [h for h, _ in calls] == self._blow_ups(theta_pendant)[1:]
+        # a set with no strict members drops the empty-S strata
+        hollow = BalancedSet(degree=2, members=own.members, strict_members=())
+        count = component_count(theta_pendant, 2, balanced=hollow)
+        assert count == want.component_count - own.strict_size
+        assert len(strata_index(theta_pendant, 2, balanced=hollow)) == count
 
     def test_component_count_once_per_verdict(self, theta_pendant, monkeypatch):
         from neronjac import neron
@@ -250,5 +287,23 @@ class TestSharedEnumeration:
         assert v.component_count == component_count(theta_pendant, 2)
 
     def test_degree_mismatch_rejected(self, theta):
+        wrong = enumerate_balanced(theta, 1)
+        for call in (is_neron_type, component_count, strata_index):
+            with pytest.raises(ValueError, match="degree"):
+                call(theta, 0, balanced=wrong)
         with pytest.raises(ValueError, match="degree"):
-            is_neron_type(theta, 0, sets=BalancedSets(1))
+            is_neron_type(theta, 0, route="weakly_general", balanced=wrong)
+
+    def test_generality_calls_no_kernel(self, monkeypatch):
+        calls, kernel = self._count(monkeypatch)
+        for g in census(3, 4):
+            for d in range(-3, 9):
+                weakly = is_weakly_d_general(g, d)
+                is_d_general(g, d)
+                verdict = is_neron_type(g, d, route="weakly_general")
+                assert verdict.routes == {"weakly_general": weakly}
+        for genus in (2, 3, 4, 5):
+            for d in range(2 * genus - 2):
+                codim_report(genus, d)
+        gcd_remark_audit(3, range(4), max_vertices=3)
+        assert calls == [] and kernel == []

@@ -1,7 +1,9 @@
 """Strata of the compactified Jacobian and the Neron-type verdict.
 
 The irreducible components are indexed by pairs (S, d) with S a set of
-bridges and d strictly balanced on the blow-up at S.  The verdict is
+bridges and d strictly balanced on the blow-up at S.  The strata skip every
+S that holds a bridge whose side has a fractional m_Z(d): the blow-up at
+such an S has no balanced multidegree (see strata_index).  The verdict is
 computed by three independent routes (component count vs class-group order,
 the boundary criterion on equality subcurves, and weak d-generality of the
 bridge contraction); they must agree, and a disagreement or a uniqueness
@@ -20,7 +22,9 @@ from .balance import (
     _balanced_bounds,
     _bits,
     _require_genus,
+    _subcurve,
     _SubcurveBounds,
+    _threshold,
     enumerate_balanced,
     is_weakly_d_general,
 )
@@ -127,16 +131,41 @@ def _own_set(g: WeightedGraph, d: int, balanced: BalancedSet | None) -> Balanced
     return enumerate_balanced(g, d) if balanced is None else balanced
 
 
+def _integral_bridges(g: WeightedGraph, genus: int, d: int) -> list[int]:
+    """The bridges of g, ascending, whose side Z has an integral m_Z(d):
+    with delta_Z = 1 that is d (2 g_Z - 1) = g - 1 mod 2g - 2."""
+    scale = 4 * genus - 4
+    return [
+        i
+        for i, side in g.bridge_sides
+        if _threshold(genus, d, _subcurve(g, side)[0], 1) % scale == 0
+    ]
+
+
 def strata_index(
     g: WeightedGraph, d: int, *, balanced: BalancedSet | None = None
 ) -> list[Stratum]:
     """All pairs (S, d) with S a subset of bridges and d strictly balanced
     on blow_up(g, S); ordered by (len(S), S, multidegree).  `balanced`, if
-    given, is enumerate_balanced(g, d), read for the empty S."""
+    given, is enumerate_balanced(g, d), read for the empty S.
+
+    Only subsets of the bridges whose side Z has an integral m_Z(d) are
+    blown up; the two sides of a bridge have m_Z(d) + m_Y(d) = d - 1, so
+    either side decides.  The blow-up at an S holding any other bridge has
+    no balanced multidegree, by Caporaso's basic inequality (cited at
+    balance.d_special_subcurve).  Let e in S be a bridge with sides Z and
+    Y.  On the blow-up at S, let Z' and Y' be Z and Y together with the
+    exceptional vertices of S that lie inside them.  Both are connected
+    proper subcurves with delta = 1, so m_Z'(d) + m_Y'(d) = d - 1.  The
+    exceptional vertex of e carries degree 1, so deg Z' + deg Y' = d - 1.
+    Balance gives deg Z' >= m_Z'(d) and deg Y' >= m_Y'(d).  Hence
+    deg Z' = m_Z'(d) = m_Z(d), and that must be an integer.
+    """
     if not g.is_stable:
         raise ValueError("strata are defined for stable graphs")
+    genus = _require_genus(g)
     own = _own_set(g, d, balanced)
-    bridges = sorted(separating_edges(g))
+    bridges = _integral_bridges(g, genus, d)
     out = []
     for size in range(len(bridges) + 1):
         for subset in itertools.combinations(bridges, size):

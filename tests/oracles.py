@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths it verifies: balanced
 sets are recomputed with Fraction arithmetic over explicit boxes checking
 *all* subcurves (not only connected ones), d-generality by the integrality
-criterion over vertex sets with a set-based connectivity test, spanning
+criterion over vertex sets with a set-based connectivity test, the bridges
+that empty a blow-up by the same test on their sides, spanning
 trees are counted by deletion-contraction, class groups by direct coset
 enumeration, and canonical forms by trying every class-respecting
 relabeling.
@@ -26,9 +27,9 @@ def subcurve_w_delta(weights, edges, zs):
     return 2 * gz - 2 + delta, delta
 
 
-def spans_connected(edges, zs):
-    """Whether the nonempty vertex set zs induces a connected subgraph."""
-    start = min(zs)
+def reachable(edges, start, zs):
+    """The vertices of zs reachable from start through edges with both
+    ends in zs."""
     seen, frontier = {start}, [start]
     while frontier:
         x = frontier.pop()
@@ -37,7 +38,12 @@ def spans_connected(edges, zs):
                 if a == x and b in zs and b not in seen:
                     seen.add(b)
                     frontier.append(b)
-    return seen == set(zs)
+    return seen
+
+
+def spans_connected(edges, zs):
+    """Whether the nonempty vertex set zs induces a connected subgraph."""
+    return reachable(edges, min(zs), zs) == set(zs)
 
 
 def integral_vine_splits(weights, edges, d):
@@ -59,6 +65,27 @@ def integral_vine_splits(weights, edges, d):
         m = Fraction(d * w, 2 * genus - 2) - Fraction(delta, 2)
         if m.denominator == 1:
             out.append(zs)
+    return out
+
+
+def fractional_bridges(weights, edges, d):
+    """The indices of the bridges (non-loop edges whose removal leaves
+    their ends apart) whose side Z, the vertices the lower end still
+    reaches, has a fractional m_Z(d).  Caporaso's basic inequality puts
+    no balanced multidegree on a blow-up at a set holding one of them."""
+    n = len(weights)
+    genus = sum(weights) + len(edges) - n + 1
+    assert genus >= 2
+    out = []
+    for i, (u, v) in enumerate(edges):
+        rest = list(edges[:i]) + list(edges[i + 1 :])
+        side = reachable(rest, min(u, v), range(n))
+        if max(u, v) in side:
+            continue
+        w, delta = subcurve_w_delta(weights, edges, side)
+        m = Fraction(d * w, 2 * genus - 2) - Fraction(delta, 2)
+        if m.denominator != 1:
+            out.append(i)
     return out
 
 

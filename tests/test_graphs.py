@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,11 @@ from neronjac import (
     separating_edges,
 )
 from neronjac.balance import _subcurve
-from neronjac.graphs import canonical_form, connected_subset_masks, graph_id
+from neronjac.graphs import _reach, canonical_form, connected_subset_masks, graph_id
 from oracles import exhaustive_canonical_form
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import analyze_pool  # noqa: E402
 
 
 class TestValidate:
@@ -272,6 +277,29 @@ class TestSeparatingEdges:
             hats = [blow_up(g, separating_edges(g)), blow_up(g, range(g.n_edges))]
             for h in [g] + hats:
                 assert separating_edges(h) == self._remove_and_test(h)
+
+    @staticmethod
+    def _sides_and_pool():
+        """The census graphs of genus 2-4 at <= 4 vertices and the
+        analyze-g6 pool graphs."""
+        for genus in (2, 3, 4):
+            yield from census(genus, 4)
+        for weights, edges in analyze_pool():
+            yield WeightedGraph(weights, edges)
+
+    def test_bridge_sides_match_reach_without_the_edge(self):
+        for g in self._sides_and_pool():
+            sides = []
+            for i in sorted(self._remove_and_test(g)):
+                u, v = g.edges[i]
+                adj = [0] * g.n_vertices
+                for a, b in g.edges[:i] + g.edges[i + 1 :]:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+                sides.append((i, _reach(adj, u)))
+            assert g.bridge_sides == tuple(sides), g
+            assert g.bridges == tuple(i for i, _ in sides)
+            assert separating_edges(g) == frozenset(g.bridges)
 
     HANDMADE = [
         # parallel pair between two blocks, plus a pendant bridge

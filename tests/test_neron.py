@@ -25,6 +25,7 @@ from neronjac import (
     separating_edges,
     strata_index,
 )
+from oracles import brute_force_balanced, fractional_bridges
 
 
 class TestSOfMu:
@@ -141,6 +142,58 @@ class TestStrataIndex:
                 assert reached == strata
 
 
+def _bridged_census():
+    """(g, S, d): the census graphs with a bridge (genus 2 at <= 2
+    vertices, genus 3 at <= 4), every subset S of their bridges, the empty
+    one first, and d over one period plus one negative degree."""
+    for genus, mv in ((2, 2), (3, 4)):
+        for g in census(genus, mv):
+            bridges = sorted(separating_edges(g))
+            if not bridges:
+                continue
+            for d in range(-1, 2 * genus - 2):
+                for size in range(len(bridges) + 1):
+                    for subset in itertools.combinations(bridges, size):
+                        yield g, subset, d
+
+
+class TestFractionalBridges:
+    """A blow-up at a set of bridges holding one whose side has a
+    fractional m_Z(d) has no balanced multidegree, and strata_index skips
+    exactly those sets."""
+
+    @staticmethod
+    def _balanced(hat, d):
+        if hat.genus == 2:
+            box = [(-2 * hat.genus, 3 * hat.genus)] * hat.n_vertices
+            members, _ = brute_force_balanced(
+                list(hat.weights), list(hat.edges), set(hat.exceptional), d, box
+            )
+            return members
+        return enumerate_balanced(hat, d).members
+
+    def test_flagged_exactly_when_empty(self):
+        flagged = 0
+        for g, subset, d in _bridged_census():
+            if not subset:
+                continue
+            fractional = set(fractional_bridges(g.weights, g.edges, d))
+            empty = not self._balanced(blow_up(g, subset), d)
+            assert empty == bool(fractional & set(subset)), (g, subset, d)
+            flagged += empty
+        assert flagged  # the lemma is exercised
+
+    def test_count_is_the_sum_over_every_bridge_subset(self):
+        strict = {}
+        for g, subset, d in _bridged_census():
+            hat = blow_up(g, subset) if subset else g
+            strict[g, d] = strict.get((g, d), 0) + len(
+                enumerate_balanced(hat, d).strict_members
+            )
+        for (g, d), count in strict.items():
+            assert component_count(g, d) == count, (g, d)
+
+
 class TestNeronType:
     def test_theta_even_degrees(self, theta):
         v = is_neron_type(theta, 0)
@@ -210,14 +263,16 @@ class TestGMinusOne:
 
 class TestSharedEnumeration:
     @staticmethod
-    def _blow_ups(g):
-        # the graphs one verdict enumerates: the blow-ups at every bridge
-        # subset, the empty one (g itself) first
-        bridges = sorted(separating_edges(g))
+    def _blow_ups(g, d):
+        # the graphs one verdict enumerates: g itself, then the blow-ups at
+        # every nonempty subset of the bridges whose side has an integral
+        # m_Z(d)
+        fractional = fractional_bridges(g.weights, g.edges, d)
+        integral = [i for i in sorted(separating_edges(g)) if i not in fractional]
         return [
             blow_up(g, subset)
-            for size in range(len(bridges) + 1)
-            for subset in itertools.combinations(bridges, size)
+            for size in range(len(integral) + 1)
+            for subset in itertools.combinations(integral, size)
         ]
 
     @staticmethod
@@ -245,9 +300,9 @@ class TestSharedEnumeration:
     def test_one_enumeration_per_distinct_graph(self, genus, monkeypatch):
         calls, kernel = self._count(monkeypatch)
         for g in census(genus, 4):
-            hats = self._blow_ups(g)
             contracted = contract_separating(g)[0]
             for d in range(-genus, 2 * genus + 1):
+                hats = self._blow_ups(g, d)
                 calls.clear()
                 kernel.clear()
                 is_neron_type(g, d)
@@ -259,12 +314,35 @@ class TestSharedEnumeration:
                 if contracted != g:
                     assert contracted not in {h for h, _ in calls}
 
+    def test_fractional_bridge_is_not_blown_up(self, theta_pendant, monkeypatch):
+        # the pendant side has genus 1, so m_Z(d) = d/4 - 1/2 is an integer
+        # exactly when d = 2 mod 4
+        from neronjac import graphs, neron
+
+        calls, kernel = self._count(monkeypatch)
+        blown = []
+        real = graphs.blow_up
+
+        def counted(g, edge_subset):
+            blown.append(tuple(edge_subset))
+            return real(g, edge_subset)
+
+        monkeypatch.setattr(neron, "blow_up", counted)
+        is_neron_type(theta_pendant, 1)
+        assert len(kernel) == 1 and blown == []
+        assert [h for h, _ in calls] == [theta_pendant]
+        calls.clear()
+        kernel.clear()
+        is_neron_type(theta_pendant, 2)
+        assert len(kernel) == 2 and blown == [(3,)]
+        assert [h for h, _ in calls] == self._blow_ups(theta_pendant, 2)
+
     def test_caller_sets_are_used(self, theta_pendant, monkeypatch):
         want = is_neron_type(theta_pendant, 2)
         own = enumerate_balanced(theta_pendant, 2)
         calls, _ = self._count(monkeypatch)
         assert is_neron_type(theta_pendant, 2, balanced=own) == want
-        assert [h for h, _ in calls] == self._blow_ups(theta_pendant)[1:]
+        assert [h for h, _ in calls] == self._blow_ups(theta_pendant, 2)[1:]
         # a set with no strict members drops the empty-S strata
         hollow = BalancedSet(degree=2, members=own.members, strict_members=())
         count = component_count(theta_pendant, 2, balanced=hollow)

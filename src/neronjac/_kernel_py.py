@@ -12,16 +12,27 @@ The search prunes before it enumerates: every constraint becomes a bound
 on one coordinate, and the depth-first search loops only over the values
 that meet every bound, with no check per value.
 
+- A coordinate with lows[k] == highs[k] is pinned: a constant, not a
+  search variable (an exceptional vertex of a blow-up is pinned to
+  degree 1).  Its value leaves the total, and leaves the threshold of
+  each constraint that holds it, as t - scale * value; the constraint is
+  then on the free coordinates of its mask.  A constraint on pinned
+  coordinates only is a constant.  Masks that differ only in pinned bits
+  become one, of which the tightest bound is kept as below, so the search
+  and its constraints are those of the free coordinates alone.  Each
+  output takes the pinned values back in their places.
 - A constraint on Z is Sum_Z x >= ceil(t / scale) when scale > 0 and
   Sum_Z x <= floor(t / scale) when scale < 0.  With scale = 0, or with Z
-  every coordinate, it is a constant: true or false for the whole box.
+  every free coordinate, it is a constant: true or false for the whole
+  box.
 - Every output has Sum x = total, so a bound on Z is the flipped bound on
-  its complement C: Sum_C x = total - Sum_Z x.  Of Z and C, the one whose
-  highest coordinate k is lower takes it, as a bound on x[k] of the form
-  b - Sum_{Z minus k} x.  One of Z and C holds the last coordinate, so
-  every bound is on a coordinate before the last, which the total forces.
-  Of the bounds on one coordinate with the same rest mask only the
-  tightest is kept; those with an empty rest narrow the box itself.
+  its complement C among the free coordinates: Sum_C x = total -
+  Sum_Z x.  Of Z and C, the one whose highest coordinate k is lower takes
+  it, as a bound on x[k] of the form b - Sum_{Z minus k} x.  One of Z and
+  C holds the last free coordinate, so every bound is on a free
+  coordinate before it, and the total forces the last.  Of the bounds on
+  one coordinate with the same rest mask only the tightest is kept; those
+  with an empty rest narrow the box itself.
 - The partial sums Sum_R x of the rest masks are read from a table that
   holds each rest mask and the masks left by dropping its top bits one at
   a time; an entry is filled as the coordinate of its top bit is assigned.
@@ -50,8 +61,13 @@ def enumerate_box(lows, highs, total, masks, thresholds, scale):
         return []
 
     lows, highs = list(lows), list(highs)
-    full = (1 << n) - 1
-    last = full + 1 >> 1  # the bit of the last coordinate
+    # fold the pinned coordinates into the constants: from here on, total
+    # and each threshold are those of the free coordinates
+    pins = [(1 << k, lo) for k, (lo, hi) in enumerate(zip(lows, highs)) if lo == hi]
+    pinned = sum(bit for bit, _ in pins)
+    total -= sum(lo for _, lo in pins)
+    free = ((1 << n) - 1) ^ pinned
+    last = 1 << free.bit_length() - 1 if free else 0  # the last free bit
     # per coordinate k: {rest mask: b} for x[k] >= b - Sum_rest x (lower)
     # and x[k] <= b - Sum_rest x (upper)
     lower = [{} for _ in range(n)]
@@ -60,7 +76,14 @@ def enumerate_box(lows, highs, total, masks, thresholds, scale):
     for mask, t in zip(masks, thresholds):
         if mask <= 0 or mask >> n:
             raise ValueError(f"mask {mask} out of range for {n} coordinates")
-        if mask == full or not scale:
+        if mask & pinned:
+            t -= scale * sum(lo for bit, lo in pins if mask & bit)
+            mask &= free
+            if not mask:
+                # a constant: the mask holds pinned coordinates only
+                feasible = feasible and t <= 0
+                continue
+        if mask == free or not scale:
             # a constant: Sum_Z x is the total, or scale is 0
             feasible = feasible and scale * total >= t
             continue
@@ -68,7 +91,7 @@ def enumerate_box(lows, highs, total, masks, thresholds, scale):
         at_least = scale > 0
         b = -(-t // scale) if at_least else t // scale
         if mask & last:
-            mask ^= full
+            mask ^= free
             at_least = not at_least
             b = total - b
         k = mask.bit_length() - 1
@@ -85,10 +108,18 @@ def enumerate_box(lows, highs, total, masks, thresholds, scale):
             upper[k][rest] = b
     if not feasible:
         return []
-    if n == 0:
-        return [()] if total == 0 else []
-    if n == 1:
-        return [(total,)] if lows[0] <= total <= highs[0] else []
+
+    # the search runs over the free coordinates order[0], order[1], ...;
+    # head and gaps[i] are the pinned values before order[0] and after
+    # order[i], which each output takes as they are
+    order = [k for k in range(n) if free >> k & 1]
+    if not order:
+        return [tuple(lows)] if total == 0 else []
+    head = tuple(lows[: order[0]])
+    gaps = [tuple(lows[k + 1 : j]) for k, j in zip(order, order[1:] + [n])]
+    if len(order) == 1:
+        k = order[0]
+        return [head + (total,) + gaps[0]] if lows[k] <= total <= highs[k] else []
 
     # the partial-sum table: slot 0 is the empty mask
     slot = {0: 0}
@@ -106,22 +137,25 @@ def enumerate_box(lows, highs, total, masks, thresholds, scale):
     upper = [[(b, slot[r]) for r, b in bounds.items()] for bounds in upper]
     sums = [0] * len(slot)
 
-    # suffix sums of bounds for the total
-    suffix_lo = [0] * (n + 1)
-    suffix_hi = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + lows[i]
-        suffix_hi[i] = suffix_hi[i + 1] + highs[i]
+    # suffix sums of the free bounds for the total
+    suffix_lo = [0] * (len(order) + 1)
+    suffix_hi = [0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix_lo[i] = suffix_lo[i + 1] + lows[order[i]]
+        suffix_hi[i] = suffix_hi[i + 1] + highs[order[i]]
 
     out = []
-    penultimate = n - 2
+    penultimate = len(order) - 2
+    mid, end = gaps[-2:]
 
-    def descend(k, left, prefix):
-        # prefix holds x[0..k), and left = total - sum(prefix)
-        lo = left - suffix_hi[k + 1]
+    def descend(i, left, prefix):
+        # prefix holds the outputs' values before order[i], and left is
+        # the total less the free ones among them
+        k = order[i]
+        lo = left - suffix_hi[i + 1]
         if lo < lows[k]:
             lo = lows[k]
-        hi = left - suffix_lo[k + 1]
+        hi = left - suffix_lo[i + 1]
         if hi > highs[k]:
             hi = highs[k]
         for b, r in lower[k]:
@@ -132,15 +166,21 @@ def enumerate_box(lows, highs, total, masks, thresholds, scale):
             b -= sums[r]
             if b < hi:
                 hi = b
-        if k == penultimate:
-            # the total forces the last coordinate
-            out.extend([prefix + (val, left - val) for val in range(lo, hi + 1)])
+        if i == penultimate:
+            # the total forces the last free coordinate
+            if mid or end:
+                out.extend(
+                    [prefix + (val,) + mid + (left - val,) + end for val in range(lo, hi + 1)]
+                )
+            else:
+                out.extend([prefix + (val, left - val) for val in range(lo, hi + 1)])
             return
         fill = fills[k]
+        gap = gaps[i]
         for val in range(lo, hi + 1):
-            for i, j in fill:
-                sums[i] = sums[j] + val
-            descend(k + 1, left - val, prefix + (val,))
+            for j, r in fill:
+                sums[j] = sums[r] + val
+            descend(i + 1, left - val, prefix + (val,) + gap)
 
-    descend(0, total, ())
+    descend(0, total, head)
     return out

@@ -15,7 +15,11 @@ The subcurves of a graph are held in one table, _balance_checks(g),
 computed once per graph: one entry per connected proper subcurve, holding
 its vertex mask, w_Z, delta_Z, the edge mask of its boundary Z cap Z^c, and
 whether it is exempt.  Balance, strictness, the equality subcurves, S(mu)
-and the boundary criterion all read it.
+and the boundary criterion all read it.  The table is built from
+graphs.connected_subset_masks, which grows each connected subset from its
+least vertex, and each entry is read by _subcurve from per-vertex sums in
+O(|Z|): the boundary is the XOR of the non-loop edges at each vertex of Z.
+m_lower_bound and the bridge sides of the strata read the same _subcurve.
 
 Every comparison is done on integers after clearing denominators by
 2*(2g-2), in _SubcurveBounds: scale * deg_Z >= t_Z.  The kernel is the one
@@ -34,7 +38,7 @@ The weakly-general Neron route reads it on the bridge contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -64,24 +68,31 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _subcurve(g: WeightedGraph, mask: int) -> tuple[int, int, int]:
-    """(w, delta, boundary) of the subcurve on the vertices of mask.
+def _subcurve(g: WeightedGraph, mask: int, incidence) -> tuple[int, int, int]:
+    """(w, delta, boundary) of the subcurve on the vertices of mask, from
+    per-vertex sums; incidence is g.incidence_masks.
 
     boundary is the mask of the indices of the edges with exactly one end
-    in Z (a loop never is one), delta their number, and w = 2 g_Z - 2 +
-    delta with g_Z the arithmetic genus of Z: its weights plus its internal
-    edges (loops included) minus its vertices plus one.
+    in Z (a loop never is one): the XOR of the non-loop edges at each
+    vertex of Z, in which an edge with both ends in Z cancels.  delta is
+    their number, and w = 2 g_Z - 2 + delta with g_Z the arithmetic genus
+    of Z: its weights plus its internal edges (loops included) minus its
+    vertices plus one.  Every internal edge has two ends in Z and every
+    boundary edge one, so there are (Sum_Z valency - delta) / 2 internal
+    edges.
     """
-    vertices = _bits(mask)
-    internal = boundary = 0
-    for i, (u, v) in enumerate(g.edges):
-        ends = (mask >> u & 1) + (mask >> v & 1)
-        if ends == 2:
-            internal += 1
-        elif ends == 1:
-            boundary |= 1 << i
-    genus_z = sum(g.weights[v] for v in vertices) + internal - len(vertices) + 1
+    valencies, weights = g.valencies, g.weights
+    boundary = ends = weight = size = 0
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        v = b.bit_length() - 1
+        boundary ^= incidence[v]
+        ends += valencies[v]
+        weight += weights[v]
+        size += 1
     delta = boundary.bit_count()
+    genus_z = weight + (ends - delta) // 2 - size + 1
     return 2 * genus_z - 2 + delta, delta, boundary
 
 
@@ -94,7 +105,7 @@ def m_lower_bound(g: WeightedGraph, z, d: int) -> Fraction:
         raise ValueError("subcurve must be nonempty")
     if any(not 0 <= v < g.n_vertices for v in zs):
         raise ValueError("subcurve references a missing vertex")
-    w, delta, _ = _subcurve(g, sum(1 << v for v in zs))
+    w, delta, _ = _subcurve(g, sum(1 << v for v in zs), g.incidence_masks)
     return Fraction(d * w, 2 * genus - 2) - Fraction(delta, 2)
 
 
@@ -127,9 +138,10 @@ def _balance_checks(g: WeightedGraph) -> tuple[_SubsetCheck, ...]:
     for i, (u, v) in enumerate(g.edges):
         if u in g.exceptional or v in g.exceptional:
             on_exceptional |= 1 << i
+    incidence = g.incidence_masks
     checks = []
     for mask in connected_subset_masks(g):
-        w, delta, boundary = _subcurve(g, mask)
+        w, delta, boundary = _subcurve(g, mask, incidence)
         exempt = not boundary & ~on_exceptional
         checks.append(_SubsetCheck(mask, w, delta, boundary, exempt))
     return tuple(checks)
@@ -222,11 +234,14 @@ def equality_subcurves(g: WeightedGraph, multidegree) -> list[frozenset[int]]:
 @dataclass(frozen=True)
 class BalancedSet:
     """Complete enumeration of balanced multidegrees of one total degree,
-    with the strictly balanced sublist flagged."""
+    with the strictly balanced sublist flagged.  `bounds` holds the cleared
+    bounds the enumeration built, for the equality questions asked of the
+    same (graph, degree) later; a set built by hand has none."""
 
     degree: int
     members: tuple[tuple[int, ...], ...]
     strict_members: tuple[tuple[int, ...], ...]
+    bounds: _SubcurveBounds | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -276,7 +291,7 @@ def enumerate_balanced(g: WeightedGraph, d: int) -> BalancedSet:
     bounds = _SubcurveBounds(g, genus, d)
     members = tuple(bounds.balanced(lows, highs, d))
     strict = tuple(md for md in members if bounds.is_strict(md))
-    return BalancedSet(degree=d, members=members, strict_members=strict)
+    return BalancedSet(degree=d, members=members, strict_members=strict, bounds=bounds)
 
 
 def d_special_subcurve(g: WeightedGraph, d: int) -> frozenset[int] | None:

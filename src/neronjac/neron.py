@@ -135,10 +135,11 @@ def _integral_bridges(g: WeightedGraph, genus: int, d: int) -> list[int]:
     """The bridges of g, ascending, whose side Z has an integral m_Z(d):
     with delta_Z = 1 that is d (2 g_Z - 1) = g - 1 mod 2g - 2."""
     scale = 4 * genus - 4
+    incidence = g.incidence_masks
     return [
         i
         for i, side in g.bridge_sides
-        if _threshold(genus, d, _subcurve(g, side)[0], 1) % scale == 0
+        if _threshold(genus, d, _subcurve(g, side, incidence)[0], 1) % scale == 0
     ]
 
 
@@ -194,7 +195,7 @@ def _route_criterion(g: WeightedGraph, d: int, balanced: BalancedSet) -> bool:
     # every equality subcurve of every balanced multidegree must have its
     # boundary inside the bridge set
     bridges = sum(1 << i for i in separating_edges(g))
-    bounds = _SubcurveBounds(g, g.genus, d)
+    bounds = balanced.bounds or _SubcurveBounds(g, g.genus, d)
     return all(
         not c.boundary & ~bridges
         for md in balanced.members

@@ -26,9 +26,15 @@ from neronjac import (
     s_of_mu,
     separating_edges,
 )
-from neronjac.balance import _subcurve
+from neronjac.balance import _balance_checks, _subcurve
 from neronjac.graphs import _reach, canonical_form, connected_subset_masks, graph_id
-from oracles import exhaustive_canonical_form
+from oracles import (
+    all_subsets,
+    exhaustive_canonical_form,
+    fractional_bridges,
+    spans_connected,
+    subcurve_w_delta,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import analyze_pool  # noqa: E402
@@ -199,14 +205,14 @@ class TestSubcurveStats:
 
     def test_theta_single_vertex(self, theta):
         # g_Z = 0, all three edges leave Z
-        assert _subcurve(theta, 0b01) == (1, 3, 0b111)
+        assert _subcurve(theta, 0b01, theta.incidence_masks) == (1, 3, 0b111)
 
     def test_full_set(self, theta):
-        assert _subcurve(theta, 0b11) == (2 * theta.genus - 2, 0, 0)
+        assert _subcurve(theta, 0b11, theta.incidence_masks) == (2 * theta.genus - 2, 0, 0)
 
     def test_bridge_graph_side(self, bridge_graph):
         # g_Z = 1, the bridge leaves Z
-        assert _subcurve(bridge_graph, 0b01) == (1, 1, 0b1)
+        assert _subcurve(bridge_graph, 0b01, bridge_graph.incidence_masks) == (1, 1, 0b1)
 
     def test_empty_rejected(self, theta):
         with pytest.raises(ValueError, match="nonempty"):
@@ -222,9 +228,10 @@ class TestSubcurveStats:
         # proper Z
         for g in census(genus, mv):
             full = (1 << g.n_vertices) - 1
+            incidence = g.incidence_masks
             for mask in connected_subset_masks(g):
-                w, delta, boundary = _subcurve(g, mask)
-                wc, delta_c, boundary_c = _subcurve(g, full ^ mask)
+                w, delta, boundary = _subcurve(g, mask, incidence)
+                wc, delta_c, boundary_c = _subcurve(g, full ^ mask, incidence)
                 assert w + wc == 2 * g.genus - 2
                 assert (delta, boundary) == (delta_c, boundary_c)
 
@@ -241,6 +248,56 @@ class TestConnectedSubcurves:
         # {0}, {1}, {0, 1}, {2}, {1, 2}, ascending as masks; {0, 2} is not
         # connected and {0, 1, 2} is not proper
         assert connected_subset_masks(path3) == [0b001, 0b010, 0b011, 0b100, 0b110]
+
+
+def _table_graphs():
+    """The genus 2-4 census at <= 4 vertices with its blow-ups at every
+    bridge subset and at all edges, then the analyze-g6 pool with its
+    blow-ups at each subset of the bridges integral at some d in 5..14."""
+    for genus in (2, 3, 4):
+        for g in census(genus, 4):
+            bridges = sorted(separating_edges(g))
+            for size in range(len(bridges) + 1):
+                for subset in itertools.combinations(bridges, size):
+                    yield blow_up(g, subset)
+            yield blow_up(g, range(g.n_edges))
+    for weights, edges in analyze_pool():
+        g = WeightedGraph(weights, edges)
+        subsets = set()
+        for d in range(5, 15):
+            fractional = fractional_bridges(g.weights, g.edges, d)
+            integral = sorted(separating_edges(g).difference(fractional))
+            for size in range(len(integral) + 1):
+                subsets.update(itertools.combinations(integral, size))
+        for subset in sorted(subsets):
+            yield blow_up(g, subset)
+
+
+class TestSubcurveTable:
+    """connected_subset_masks and every _balance_checks entry against the
+    oracles, on every graph of _table_graphs."""
+
+    def test_matches_oracles(self):
+        seen = 0
+        for g in _table_graphs():
+            n, edges = g.n_vertices, g.edges
+            want = []
+            for zs in all_subsets(n):
+                if len(zs) < n and spans_connected(edges, zs):
+                    mask = sum(1 << v for v in zs)
+                    w, delta = subcurve_w_delta(g.weights, edges, zs)
+                    boundary = [i for i, (u, v) in enumerate(edges) if (u in zs) != (v in zs)]
+                    exempt = all(
+                        edges[i][0] in g.exceptional or edges[i][1] in g.exceptional
+                        for i in boundary
+                    )
+                    want.append((mask, w, delta, sum(1 << i for i in boundary), exempt))
+            want.sort()
+            assert connected_subset_masks(g) == [m for m, *_ in want], g
+            got = [(c.mask, c.w, c.delta, c.boundary, c.exempt) for c in _balance_checks(g)]
+            assert got == want, g
+            seen += 1
+        assert seen > 1000
 
 
 class TestSeparatingEdges:

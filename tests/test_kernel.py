@@ -188,6 +188,16 @@ def boxes(draw):
     return lows, highs, total, masks, thresholds, scale
 
 
+@st.composite
+def pinned_boxes(draw):
+    """boxes() with a random share of the coordinates pinned, lo == hi,
+    as the exceptional vertices of a blow-up are."""
+    lows, highs, total, masks, thresholds, scale = draw(boxes())
+    pins = draw(st.lists(st.booleans(), min_size=len(lows), max_size=len(lows)))
+    highs = [lo if pin else hi for lo, hi, pin in zip(lows, highs, pins)]
+    return lows, highs, total, masks, thresholds, scale
+
+
 class TestPureKernel:
     """The pure kernel's bounded search against brute_force_box, and its
     argument checks."""
@@ -196,6 +206,37 @@ class TestPureKernel:
     @settings(max_examples=300, deadline=None)
     def test_random_boxes(self, args):
         assert _kernel_py.enumerate_box(*args) == brute_force_box(*args)
+
+    @given(pinned_boxes())
+    @settings(max_examples=300, deadline=None)
+    def test_random_boxes_with_pinned_coordinates(self, args):
+        assert _kernel_py.enumerate_box(*args) == brute_force_box(*args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # the pinned values meet the total, or miss it
+            ([1, -2, 3], [1, -2, 3], 2, [0b011, 0b110], [-2, 1], 2),
+            ([1, -2, 3], [1, -2, 3], 3, [0b011], [-2], 2),
+            # a constraint the pinned values break
+            ([1, -2, 3], [1, -2, 3], 2, [0b011, 0b110], [-2, 3], 2),
+            ([1, -2, 3], [1, -2, 3], 2, [0b101], [-7], -2),
+            ([0], [0], 0, [0b1], [1], 0),
+        ],
+    )
+    def test_every_coordinate_pinned(self, args):
+        want = brute_force_box(*args)
+        assert want in ([], [tuple(args[0])])
+        assert _kernel_py.enumerate_box(*args) == want
+
+    @pytest.mark.parametrize("threshold, holds", [(4, True), (5, False)])
+    def test_mask_on_pinned_coordinates_only(self, threshold, holds):
+        # coordinates 1 and 3 are pinned to 1, so 0b1010 is the constant
+        # 2 * 2 >= threshold, and the 0b0110 bound keeps its free part
+        args = ([0, 1, -1, 1], [2, 1, 2, 1], 3, [0b1010, 0b0110], [threshold, 2], 2)
+        want = brute_force_box(*args)
+        assert bool(want) is holds
+        assert _kernel_py.enumerate_box(*args) == want
 
     @pytest.mark.parametrize(
         "masks, thresholds, scale",
@@ -214,6 +255,17 @@ class TestPureKernel:
             with pytest.raises(ValueError) as info:
                 kernel.enumerate_box([0, 0], [1, 1], 1, masks, thresholds, scale)
             assert str(info.value) == f"mask {bad} out of range for 2 coordinates"
+
+    @pytest.mark.parametrize("highs", [[0, 1, 1], [0, 0, 1], [0, 0, 2]])
+    def test_bad_mask_on_pinned_coordinates(self, highs):
+        # coordinate 0 is pinned, so 0b1001 lies on pinned coordinates but
+        # for its bit out of range; a mask that folds to a false constant
+        # comes first, and a good one after
+        masks = [0b001, 0b1001, 0b010]
+        for kernel in (_kernel_py, _kernel):
+            with pytest.raises(ValueError) as info:
+                kernel.enumerate_box([0, 0, 1], highs, 1, masks, [9, 0, 0], 4)
+            assert str(info.value) == "mask 9 out of range for 3 coordinates"
 
 
 class TestCompiledMatchesPure:
@@ -329,6 +381,10 @@ class TestRawModuleMatchesPure:
             (([0, 0], [1, 1], 1, [0b100], [5], 4), mask_error(0b100, 2)),
             (([0, 0], [1, 1], 1, [1, 2**70], [5, 2**70], 4), mask_error(2**70, 2)),
             (([], [], 0, [1], [0], 4), mask_error(1, 0)),
+            # every coordinate pinned (lows == highs): a point, or a bad
+            # mask after a constraint the pinned values break
+            (([1, -2, 3], [1, -2, 3], 2, [0b011, 0b110], [-2, 1], 2), [(1, -2, 3)]),
+            (([0, 0, 1], [0, 0, 1], 1, [0b001, 0b1001], [9, 0], 4), mask_error(0b1001, 3)),
             # an empty box answers before any mask is checked
             (([0, 2], [1, 1], 1, [0b100], [5], 4), []),
             (([0], [], 0, [], [], 4), (ValueError, "lows and highs must have equal length")),

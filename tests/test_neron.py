@@ -4,6 +4,7 @@ import pytest
 
 from neronjac import (
     BalancedSet,
+    NeronVerdict,
     RouteDisagreement,
     Stratum,
     UniquenessError,
@@ -348,6 +349,40 @@ class TestSharedEnumeration:
         count = component_count(theta_pendant, 2, balanced=hollow)
         assert count == want.component_count - own.strict_size
         assert len(strata_index(theta_pendant, 2, balanced=hollow)) == count
+
+    def test_criterion_reads_the_sets_bounds(self, theta, theta_pendant, monkeypatch):
+        # the cleared bounds of (g, d) are built once, by g's enumeration;
+        # only the weakly-general route builds its own, on the contraction
+        from neronjac.balance import _SubcurveBounds
+
+        built = []
+        real = _SubcurveBounds.__init__
+
+        def counted(self, g, genus, d):
+            built.append(g)
+            real(self, g, genus, d)
+
+        monkeypatch.setattr(_SubcurveBounds, "__init__", counted)
+        for g in (theta, theta_pendant):
+            contracted = contract_separating(g)[0]
+            for d in range(-2, 6):
+                hats = self._blow_ups(g, d)
+                built.clear()
+                want = is_neron_type(g, d)
+                assert built == hats + [contracted]
+                built.clear()
+                assert is_neron_type(g, d, route="criterion") == NeronVerdict(
+                    want.verdict, {"criterion": want.verdict}, None, want.class_group_order
+                )
+                assert built == [g]
+                # a set built by hand carries no bounds, and the route
+                # builds them
+                own = enumerate_balanced(g, d)
+                bare = BalancedSet(own.degree, own.members, own.strict_members)
+                assert bare == own and bare.bounds is None
+                built.clear()
+                assert is_neron_type(g, d, route="criterion", balanced=bare).verdict == want.verdict
+                assert built == [g]
 
     def test_component_count_once_per_verdict(self, theta_pendant, monkeypatch):
         from neronjac import neron

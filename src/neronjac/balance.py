@@ -19,7 +19,7 @@ and the boundary criterion all read it.  The table is built from
 graphs.connected_subset_masks, which grows each connected subset from its
 least vertex, and each entry is read by _subcurve from per-vertex sums in
 O(|Z|): the boundary is the XOR of the non-loop edges at each vertex of Z.
-m_lower_bound and the bridge sides of the strata read the same _subcurve.
+m_lower_bound reads the same _subcurve.
 
 Every comparison is done on integers after clearing denominators by
 2*(2g-2), in _SubcurveBounds: scale * deg_Z >= t_Z.  The kernel is the one
@@ -29,7 +29,9 @@ m_Z(d) = t_Z / scale is an integer, so the subcurves whose threshold the
 scale divides, each with its integer bound, are listed once as the tight
 checks.  Every equality question reads that list: the equality subcurves,
 and strictness, which asks that every tight check met with equality be
-exempt.  The public bound m_Z(d) is an exact Fraction.
+exempt.  The public bound m_Z(d) is an exact Fraction.  The bridges the
+strata blow up are read off the same list: a tight check with delta = 1
+is a side of a bridge with an integral m_Z(d), its boundary that bridge.
 
 d-generality reads no kernel: d_special_subcurve finds a tight check with
 a connected complement, which exists iff a stable graph is d-special.
@@ -236,12 +238,13 @@ class BalancedSet:
     """Complete enumeration of balanced multidegrees of one total degree,
     with the strictly balanced sublist flagged.  `bounds` holds the cleared
     bounds the enumeration built, for the equality questions asked of the
-    same (graph, degree) later; a set built by hand has none."""
+    same (graph, degree) later: the criterion route's equality subcurves
+    and the bridges the strata blow up."""
 
     degree: int
     members: tuple[tuple[int, ...], ...]
     strict_members: tuple[tuple[int, ...], ...]
-    bounds: _SubcurveBounds | None = field(default=None, compare=False, repr=False)
+    bounds: _SubcurveBounds = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:

@@ -9,8 +9,10 @@ Every test on a graph reads one per-vertex table, `valencies` (a loop
 counts 2) and `loops`, built by the edge pass that checks the edge ends.
 Stability, quasistability, the canonical-form invariant and the
 per-vertex balance bounds read it.  `_reach` is the only traversal:
-connectivity, the component count, bridges and their sides and the
-bridge contraction all go through it.
+connectivity, the component count, the bridges and the bridge
+contraction all go through it.  The sides of the bridges are not kept
+here: each is a subcurve with delta = 1 in balance's table, which is
+where the strata read them.
 
 The connected subsets, from which balance builds its subcurve table, are
 grown from their least vertex one neighbour at a time, so their cost is
@@ -146,15 +148,10 @@ class WeightedGraph:
         return len(_component_masks(self.adjacency_masks))
 
     @cached_property
-    def bridge_sides(self) -> tuple[tuple[int, int], ...]:
-        """(i, side) for each edge i whose removal separates its endpoints,
-        ascending in i; side is the vertex mask of the part that holds the
-        lower endpoint once i is removed.  An empty tuple, which costs
-        nothing, on the bridgeless graphs that most of a census holds.
-
-        Only a non-loop edge with no parallel twin can be one; it is a
-        bridge when its far end is unreachable once it is removed, and
-        that traversal gives its side.
+    def bridges(self) -> tuple[int, ...]:
+        """Ascending indices of the edges whose removal separates their
+        endpoints.  Only a non-loop edge with no parallel twin can be one;
+        it is a bridge when its far end is unreachable once it is removed.
         """
         out = []
         for i, (u, v) in enumerate(self.edges):
@@ -163,15 +160,9 @@ class WeightedGraph:
             adj = list(self.adjacency_masks)
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-            side = _reach(adj, u)
-            if not side >> v & 1:
-                out.append((i, side))
+            if not _reach(adj, u) >> v & 1:
+                out.append(i)
         return tuple(out)
-
-    @property
-    def bridges(self) -> tuple[int, ...]:
-        """Ascending indices of the bridges, read off bridge_sides."""
-        return tuple(i for i, _ in self.bridge_sides)
 
     @property
     def is_connected(self) -> bool:

@@ -123,8 +123,10 @@ def gcd_remark_audit(
     genus: int, d_range, max_vertices: int = 4
 ) -> list[AuditRow]:
     """Compare the two candidate gcd criteria for "every stable curve of
-    genus g is d-general" against the census truth; emitted as a table, not
-    asserted, because the two moduli 2g-1 and 2g-2 genuinely differ."""
+    genus g is d-general" against the census truth.  The census is
+    complete at max_vertices >= 2g - 2 and partial below it; on the
+    complete genus-2 and genus-3 censuses the 2g - 2 column agrees on
+    every degree."""
     check_census_genus(genus)
     graphs = census(genus, max_vertices)
     rows = []

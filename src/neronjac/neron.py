@@ -3,13 +3,16 @@
 The irreducible components are indexed by pairs (S, d) with S a set of
 bridges and d strictly balanced on the blow-up at S.  The strata skip every
 S that holds a bridge whose side has a fractional m_Z(d): the blow-up at
-such an S has no balanced multidegree (see strata_index).  The verdict is
-computed by three independent routes (component count vs class-group order,
-the boundary criterion on equality subcurves, and weak d-generality of the
-bridge contraction); they must agree, and a disagreement or a uniqueness
-failure in the extremal-pair search raises a hard error rather than being
-returned as data.  The weakly-general route reads the integrality
-criterion of balance.d_special_subcurve and calls no kernel.
+such an S has no balanced multidegree (see strata_index).  The bridges
+they keep are the boundary edges of the tight checks with delta = 1 in g's
+balanced set, so the strata do no bound arithmetic of their own.  The
+verdict is computed by three independent routes (component count vs
+class-group order, the boundary criterion on equality subcurves, and weak
+d-generality of the bridge contraction); they must agree, and a
+disagreement or a uniqueness failure in the extremal-pair search raises a
+hard error rather than being returned as data.  The weakly-general route
+reads the integrality criterion of balance.d_special_subcurve and calls no
+kernel.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ from .balance import (
     _balanced_bounds,
     _bits,
     _require_genus,
-    _subcurve,
-    _SubcurveBounds,
-    _threshold,
     enumerate_balanced,
     is_weakly_d_general,
 )
@@ -131,18 +131,6 @@ def _own_set(g: WeightedGraph, d: int, balanced: BalancedSet | None) -> Balanced
     return enumerate_balanced(g, d) if balanced is None else balanced
 
 
-def _integral_bridges(g: WeightedGraph, genus: int, d: int) -> list[int]:
-    """The bridges of g, ascending, whose side Z has an integral m_Z(d):
-    with delta_Z = 1 that is d (2 g_Z - 1) = g - 1 mod 2g - 2."""
-    scale = 4 * genus - 4
-    incidence = g.incidence_masks
-    return [
-        i
-        for i, side in g.bridge_sides
-        if _threshold(genus, d, _subcurve(g, side, incidence)[0], 1) % scale == 0
-    ]
-
-
 def strata_index(
     g: WeightedGraph, d: int, *, balanced: BalancedSet | None = None
 ) -> list[Stratum]:
@@ -161,12 +149,20 @@ def strata_index(
     exceptional vertex of e carries degree 1, so deg Z' + deg Y' = d - 1.
     Balance gives deg Z' >= m_Z'(d) and deg Y' >= m_Y'(d).  Hence
     deg Z' = m_Z'(d) = m_Z(d), and that must be an integer.
+
+    Those bridges are read off the tight checks of g's balanced set, the
+    subcurves with an integral m_Z(d).  On a connected graph a connected
+    Z with delta_Z = 1 has a connected complement, and its one boundary
+    edge is a bridge; each side of a bridge is such a Z.  So the bridges
+    to blow up are the boundary edges of the tight checks with delta = 1.
     """
     if not g.is_stable:
         raise ValueError("strata are defined for stable graphs")
-    genus = _require_genus(g)
+    _require_genus(g)
     own = _own_set(g, d, balanced)
-    bridges = _integral_bridges(g, genus, d)
+    bridges = sorted(
+        {c.boundary.bit_length() - 1 for c, _ in own.bounds.tight if c.delta == 1}
+    )
     out = []
     for size in range(len(bridges) + 1):
         for subset in itertools.combinations(bridges, size):
@@ -191,15 +187,14 @@ def _route_count(count: int, order: int) -> bool:
     return count == order
 
 
-def _route_criterion(g: WeightedGraph, d: int, balanced: BalancedSet) -> bool:
+def _route_criterion(g: WeightedGraph, balanced: BalancedSet) -> bool:
     # every equality subcurve of every balanced multidegree must have its
     # boundary inside the bridge set
     bridges = sum(1 << i for i in separating_edges(g))
-    bounds = balanced.bounds or _SubcurveBounds(g, g.genus, d)
     return all(
         not c.boundary & ~bridges
         for md in balanced.members
-        for c in bounds.equalities(md)
+        for c in balanced.bounds.equalities(md)
     )
 
 
@@ -243,7 +238,7 @@ def is_neron_type(
     count = component_count(g, d, balanced=balanced) if "count" in selected else None
     impls = {
         "count": lambda: _route_count(count, order),
-        "criterion": lambda: _route_criterion(g, d, balanced),
+        "criterion": lambda: _route_criterion(g, balanced),
         "weakly_general": lambda: _route_weakly_general(g, d),
     }
     results = {name: impls[name]() for name in selected}

@@ -24,6 +24,7 @@ from neronjac import (
     d_special_vine_scan,
     enumerate_balanced,
     extremal_pair,
+    gcd_remark_audit,
     is_d_general,
     is_neron_type,
     is_tree_like,
@@ -181,20 +182,34 @@ def test_criterion_9_gcd_trichotomy(capsys):
                 assert any(
                     v.delta == 3 and v.g1 == v.g2 == half for v in scan
                 )
-    # the modulus discrepancy table is a report, not an assertion
-    from neronjac import gcd_remark_audit
-
+    # the codimension is the least number of nodes of a d-special vine
+    for genus in (2, 3, 4, 5):
+        for d in range(2 * genus - 2):
+            scan = d_special_vine_scan(genus, d, min_delta=2)
+            least = str(min(v.delta for v in scan)) if scan else "empty"
+            assert predicted_codim(genus, d)[1] == least, (genus, d)
+    # a stable graph has at most 2g - 2 vertices, so these censuses are
+    # complete: every curve is d-general iff no vine is d-special iff
+    # gcd(d - g + 1, 2g - 2) = 1, and the modulus 2g - 1 is wrong
+    for genus in (2, 3):
+        for r in gcd_remark_audit(genus, range(2 * genus - 2), 2 * genus - 2):
+            no_vine = d_special_vine_scan(genus, r.degree, min_delta=1) == []
+            assert r.all_general == no_vine == r.gcd_2g_minus_2_is_1, (genus, r)
+    assert not gcd_remark_audit(3, [0], 4)[0].agree_2g_minus_1
     with capsys.disabled():
-        print("\ngcd modulus audit (report only):")
-        for genus in (2, 3, 4):
-            rows = gcd_remark_audit(genus, range(0, 2 * genus + 2))
-            for r in rows:
-                print(
-                    f"  g={genus} d={r.degree} all_general={r.all_general} "
-                    f"gcd(2g-1)={r.gcd_2g_minus_1_is_1} "
-                    f"gcd(2g-2)={r.gcd_2g_minus_2_is_1}"
-                )
-    _passed(9, "gcd trichotomy holds for genus 2-4; modulus audit emitted")
+        print("\ngcd modulus audit, genus 4, partial census (<= 4 of 6 vertices):")
+        for r in gcd_remark_audit(4, range(0, 10)):
+            print(
+                f"  g=4 d={r.degree} all_general={r.all_general} "
+                f"gcd(2g-1)={r.gcd_2g_minus_1_is_1} "
+                f"gcd(2g-2)={r.gcd_2g_minus_2_is_1}"
+            )
+    _passed(
+        9,
+        "gcd trichotomy holds for genus 2-4, codimension = least vine delta for "
+        "genus 2-5, modulus 2g-2 exact on the complete genus 2-3 censuses; "
+        "genus-4 audit emitted",
+    )
 
 
 def test_criterion_10_determinism():

@@ -12,30 +12,30 @@ nodes all lie on exceptional components.  A balanced multidegree is
 strictly balanced when it has no non-exempt equality subcurve.
 
 The subcurves of a graph are held in one table, _balance_checks(g),
-computed once per graph: one entry per connected proper subcurve, holding
-its vertex mask, w_Z, delta_Z, the edge mask of its boundary Z cap Z^c, and
-whether it is exempt.  Balance, strictness, the equality subcurves, S(mu)
-and the boundary criterion all read it.  The table is built from
-graphs.connected_subset_masks, which grows each connected subset from its
-least vertex, and each entry is read by _subcurve from per-vertex sums in
+computed once per graph: one entry per bond, a connected proper subcurve
+with a connected complement, holding its vertex mask, w_Z, delta_Z, the
+edge mask of its boundary Z cap Z^c, and whether it is exempt.  The bonds
+decide balance, strictness, S(mu) and both criteria, by the lemma at
+_balance_checks.  Each entry is read by _subcurve from per-vertex sums in
 O(|Z|): the boundary is the XOR of the non-loop edges at each vertex of Z.
-m_lower_bound reads the same _subcurve.
+m_lower_bound reads it too, and through it equality_subcurves, which
+answers over every connected Z as the definition asks.
 
 Every comparison is done on integers after clearing denominators by
 2*(2g-2), in _SubcurveBounds: scale * deg_Z >= t_Z.  The kernel is the one
 balance test: enumerate_balanced asks it for a box, and is_balanced for
 the one-point box of its multidegree.  deg_Z = m_Z(d) can hold only where
-m_Z(d) = t_Z / scale is an integer, so the subcurves whose threshold the
-scale divides, each with its integer bound, are listed once as the tight
-checks.  Every equality question reads that list: the equality subcurves,
-and strictness, which asks that every tight check met with equality be
-exempt.  The public bound m_Z(d) is an exact Fraction.  The bridges the
-strata blow up are read off the same list: a tight check with delta = 1
-is a side of a bridge with an integral m_Z(d), its boundary that bridge.
+m_Z(d) = t_Z / scale is an integer, so the bonds whose threshold the scale
+divides, each with its integer bound, are listed once as the tight
+checks.  Every equality question of a verdict reads that list: the
+equality bonds, and strictness, which asks that every tight check met
+with equality be exempt.  The public bound m_Z(d) is an exact Fraction.
+The bridges the strata blow up are read off the same list: a tight check
+with delta = 1 is a side of a bridge with an integral m_Z(d).
 
-d-generality reads no kernel: d_special_subcurve finds a tight check with
-a connected complement, which exists iff a stable graph is d-special.
-The weakly-general Neron route reads it on the bridge contraction.
+d-generality reads no kernel: a stable graph is d-special iff its tight
+list is nonempty, and d_special_subcurve returns its first entry.  The
+weakly-general Neron route reads it on the bridge contraction.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import lru_cache
 from . import _kernel
 from .graphs import (
     WeightedGraph,
-    _reach,
+    _as_int,
     check_multidegree,
     connected_subset_masks,
     contract_separating,
@@ -134,18 +134,28 @@ class _SubsetCheck:
 
 @lru_cache(maxsize=None)
 def _balance_checks(g: WeightedGraph) -> tuple[_SubsetCheck, ...]:
-    """The subcurve table of g: one check per connected proper subcurve,
-    in mask order."""
+    """The subcurve table of the connected graph g: one check per bond, a
+    connected proper Z with Z^c connected, in mask order.
+
+    The bonds decide balance.  Let Z be connected and Y_i the components
+    of Z^c.  Each Y_i^c is a bond, as every Y_j touches Z, and the
+    boundaries of the Y_i partition that of Z.  The bounds of the Y_i^c,
+    deg_{Y_i} <= m_{Y_i}(d) + delta_{Y_i}, sum to deg_Z >= m_Z(d), and
+    equality on Z forces it on every Y_i^c: exemption and S(mu) follow.
+    """
     on_exceptional = 0
     for i, (u, v) in enumerate(g.edges):
         if u in g.exceptional or v in g.exceptional:
             on_exceptional |= 1 << i
     incidence = g.incidence_masks
+    masks = connected_subset_masks(g)
+    full, connected = (1 << g.n_vertices) - 1, set(masks)
     checks = []
-    for mask in connected_subset_masks(g):
-        w, delta, boundary = _subcurve(g, mask, incidence)
-        exempt = not boundary & ~on_exceptional
-        checks.append(_SubsetCheck(mask, w, delta, boundary, exempt))
+    for mask in masks:
+        if full ^ mask in connected:
+            w, delta, boundary = _subcurve(g, mask, incidence)
+            exempt = not boundary & ~on_exceptional
+            checks.append(_SubsetCheck(mask, w, delta, boundary, exempt))
     return tuple(checks)
 
 
@@ -166,15 +176,19 @@ def _mask_sum(md, mask: int) -> int:
 
 
 class _SubcurveBounds:
-    """The cleared bounds of every connected proper subcurve of g at total
-    degree d, built once and shared by every multidegree of that degree:
+    """The cleared bounds of every bond of g at total degree d, built once
+    and shared by every multidegree of that degree:
     scale * deg_Z >= threshold  <=>  deg_Z >= m_Z(d), scale = 2*(2g-2).
-    `tight` holds (check, m_Z(d)) for each subcurve whose m_Z(d) is an
+    `tight` holds (check, m_Z(d)) for each bond whose m_Z(d) is an
     integer, the only ones a multidegree can meet with equality."""
 
-    __slots__ = ("checks", "thresholds", "scale", "tight")
+    __slots__ = ("checks", "degree", "thresholds", "scale", "tight")
 
     def __init__(self, g: WeightedGraph, genus: int, d: int):
+        try:
+            self.degree = d = _as_int(d)
+        except TypeError:
+            raise ValueError(f"degree must be an integer, got {d!r}") from None
         self.checks = _balance_checks(g)
         self.thresholds = [_threshold(genus, d, c.w, c.delta) for c in self.checks]
         self.scale = scale = 2 * (2 * genus - 2)
@@ -196,7 +210,7 @@ class _SubcurveBounds:
         return all(c.exempt or _mask_sum(md, c.mask) != m for c, m in self.tight)
 
     def equalities(self, md) -> list[_SubsetCheck]:
-        """The checks of the equality subcurves of md, in mask order."""
+        """The checks of the equality bonds of md, in mask order."""
         return [c for c, m in self.tight if _mask_sum(md, c.mask) == m]
 
 
@@ -223,14 +237,13 @@ def is_strictly_balanced(g: WeightedGraph, multidegree) -> bool:
 
 def equality_subcurves(g: WeightedGraph, multidegree) -> list[frozenset[int]]:
     """Vertex sets of the connected proper subcurves Z with deg_Z = m_Z(d),
-    ascending as bitmasks; the equality subcurves when the multidegree is
-    balanced."""
-    genus = _require_genus(g)
+    bonds or not, ascending as bitmasks; the equality subcurves when the
+    multidegree is balanced.  No verdict reads this list."""
+    _require_genus(g)
     md = check_multidegree(multidegree, g.n_vertices)
-    return [
-        frozenset(_bits(c.mask))
-        for c in _SubcurveBounds(g, genus, sum(md)).equalities(md)
-    ]
+    subsets = [frozenset(_bits(mask)) for mask in connected_subset_masks(g)]
+    d = sum(md)
+    return [z for z in subsets if sum(md[v] for v in z) == m_lower_bound(g, z, d)]
 
 
 @dataclass(frozen=True)
@@ -290,36 +303,28 @@ def enumerate_balanced(g: WeightedGraph, d: int) -> BalancedSet:
     """All balanced multidegrees of total degree d on a connected graph,
     lexicographically ordered, with the strictly balanced ones flagged."""
     genus = _require_genus(g)
-    lows, highs = _vertex_bounds(g, genus, d)
     bounds = _SubcurveBounds(g, genus, d)
+    d = bounds.degree
+    lows, highs = _vertex_bounds(g, genus, d)
     members = tuple(bounds.balanced(lows, highs, d))
     strict = tuple(md for md in members if bounds.is_strict(md))
     return BalancedSet(degree=d, members=members, strict_members=strict, bounds=bounds)
 
 
 def d_special_subcurve(g: WeightedGraph, d: int) -> frozenset[int] | None:
-    """The first connected proper Z of the stable graph g, in mask order,
-    with Z^c connected and m_Z(d) an integer; None when there is none.
+    """The first tight check of the stable graph g, a bond Z with m_Z(d)
+    an integer, as a vertex set; None when there is none.
 
     g is d-general (every balanced multidegree of degree d is strictly
-    balanced) iff there is none: L. Caporaso, "Neron models and
-    compactified Picard schemes over the moduli stack of stable curves",
-    Amer. J. Math. 130 (2008).  One direction is short.  Let a balanced md
-    meet its bound on a connected Z, and let Y_i be the components of Z^c.
-    Each Y_i^c is connected, so deg_{Y_i} <= m_{Y_i}(d) + delta_{Y_i}; these
-    sum to deg_{Z^c} = d - m_Z(d) = m_{Z^c}(d) + delta_Z, so md meets its
-    bound, an integer, on every Y_i^c, whose complement Y_i is connected.
+    balanced) iff there is none, so d-special means a nonempty tight list:
+    L. Caporaso, "Neron models and compactified Picard schemes over the
+    moduli stack of stable curves", Amer. J. Math. 130 (2008).  One
+    direction is the lemma at _balance_checks.
     """
     if not g.is_stable:
         raise ValueError("d-generality is defined for stable graphs")
-    genus = _require_genus(g)
-    adj = g.adjacency_masks
-    full = (1 << g.n_vertices) - 1
-    for c, _ in _SubcurveBounds(g, genus, d).tight:
-        rest = full & ~c.mask
-        if _reach(adj, (rest & -rest).bit_length() - 1, rest) == rest:
-            return frozenset(_bits(c.mask))
-    return None
+    tight = _SubcurveBounds(g, _require_genus(g), d).tight
+    return frozenset(_bits(tight[0][0].mask)) if tight else None
 
 
 def is_d_general(g: WeightedGraph, d: int) -> bool:

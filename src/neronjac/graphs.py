@@ -14,12 +14,12 @@ contraction all go through it.  The sides of the bridges are not kept
 here: each is a subcurve with delta = 1 in balance's table, which is
 where the strata read them.
 
-The connected subsets, from which balance builds its subcurve table, are
-grown from their least vertex one neighbour at a time, so their cost is
-one step per connected subset, not a traversal for each of the 2^n
-vertex masks; on a blow-up most masks are not connected.  Each table
-entry is then read off per-vertex sums: `incidence_masks` (the non-loop
-edges at each vertex), `valencies` and the weights.
+The connected subsets are grown from their least vertex one neighbour at
+a time: one step per connected subset, not a traversal for each of the
+2^n masks, most of which a blow-up leaves disconnected.  Balance keeps
+those whose complement is also listed, the bonds, as its subcurve table,
+and reads each entry off per-vertex sums: `incidence_masks` (the
+non-loop edges at each vertex), `valencies` and the weights.
 """
 
 from __future__ import annotations

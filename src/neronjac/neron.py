@@ -151,10 +151,10 @@ def strata_index(
     deg Z' = m_Z'(d) = m_Z(d), and that must be an integer.
 
     Those bridges are read off the tight checks of g's balanced set, the
-    subcurves with an integral m_Z(d).  On a connected graph a connected
-    Z with delta_Z = 1 has a connected complement, and its one boundary
-    edge is a bridge; each side of a bridge is such a Z.  So the bridges
-    to blow up are the boundary edges of the tight checks with delta = 1.
+    bonds (connected Z with Z^c connected) with an integral m_Z(d).  A
+    bond with delta_Z = 1 is a side of a bridge, its one boundary edge,
+    and each side of a bridge is such a bond.  So the bridges to blow up
+    are the boundary edges of the tight checks with delta = 1.
     """
     if not g.is_stable:
         raise ValueError("strata are defined for stable graphs")

@@ -1,6 +1,9 @@
 import itertools
 import math
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,12 +23,29 @@ from neronjac import (
     is_strictly_balanced,
     is_weakly_d_general,
     m_lower_bound,
+    s_of_mu,
     separating_edges,
     strata_index,
 )
 from neronjac import _kernel_py
-from neronjac.balance import _balance_checks, _threshold, _vertex_bounds
-from oracles import brute_force_balanced, spans_connected, subcurve_w_delta
+from neronjac.balance import (
+    _balance_checks,
+    _bits,
+    _subcurve,
+    _threshold,
+    _vertex_bounds,
+)
+from neronjac.graphs import connected_subset_masks
+from neronjac.locus import d_special_vine_scan
+from oracles import (
+    brute_force_balanced,
+    fractional_bridges,
+    spans_connected,
+    subcurve_w_delta,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import analyze_pool  # noqa: E402
 
 
 class TestLowerBound:
@@ -229,6 +249,95 @@ class TestSubcurveTable:
                 got = {i for i in range(g.n_edges) if c.boundary >> i & 1}
                 assert (c.w, c.delta) == subcurve_w_delta(g.weights, g.edges, zs)
                 assert (got, c.exempt) == (boundary, exempt), (g, c)
+
+
+def _full_table_cases():
+    """(g, d) over one period of d: the _bound_cases graphs, and the
+    analyze-g6 pool graphs with their blow-ups at each subset of the
+    bridges whose side has an integral m_Z(d)."""
+    for g in _bound_cases():
+        for d in range(2 * g.genus - 2):
+            yield g, d
+    for weights, edges in analyze_pool():
+        g = WeightedGraph(weights, edges)
+        for d in range(2 * g.genus - 2):
+            fractional = fractional_bridges(weights, edges, d)
+            integral = sorted(separating_edges(g).difference(fractional))
+            for size in range(len(integral) + 1):
+                for subset in itertools.combinations(integral, size):
+                    yield blow_up(g, subset), d
+
+
+def _equality_unions(members, entries, scale):
+    """For each member, the union of the boundaries of the entries (mask,
+    threshold, boundary) that it meets with equality, scale * deg_Z ==
+    threshold.  Summed column by column: a loop over members and entries
+    costs seconds on the pool blow-ups."""
+    if not members:
+        return []
+    columns = list(zip(*members))
+    unions = [0] * len(members)
+    for mask, t, boundary in entries:
+        if t % scale == 0:
+            sums = map(sum, zip(*(columns[v] for v in _bits(mask))))
+            for i in [i for i, s in enumerate(sums) if s * scale == t]:
+                unions[i] |= boundary
+    return unions
+
+
+class TestBondsDecide:
+    """The table holds only the bonds; a full table over every connected
+    proper Z, built here, gives the same members, strict members and
+    S(mu)."""
+
+    def test_full_table_agrees(self):
+        cases = 0
+        for g, d in _full_table_cases():
+            genus = g.genus
+            scale = 2 * (2 * genus - 2)
+            on_exceptional = sum(
+                1 << i for i, (u, v) in enumerate(g.edges)
+                if u in g.exceptional or v in g.exceptional
+            )
+            full = []
+            for mask in connected_subset_masks(g):
+                w, delta, boundary = _subcurve(g, mask, g.incidence_masks)
+                full.append((mask, _threshold(genus, d, w, delta), boundary))
+            masks = [mask for mask, _, _ in full]
+            thresholds = [t for _, t, _ in full]
+            raised = [t + bool(b & ~on_exceptional) for _, t, b in full]
+            lows, highs = _vertex_bounds(g, genus, d)
+            bs = enumerate_balanced(g, d)
+            for ts, want in ((thresholds, bs.members), (raised, bs.strict_members)):
+                got = _kernel_py.enumerate_box(lows, highs, d, masks, ts, scale)
+                assert tuple(got) == want, (g, d)
+            # S(mu) reads the bonds' equalities; s_of_mu itself, which
+            # rechecks balance first, is called on the first and last member
+            bonds = zip(bs.bounds.checks, bs.bounds.thresholds)
+            reduced = [(c.mask, t, c.boundary) for c, t in bonds]
+            unions = _equality_unions(bs.members, full, scale)
+            assert _equality_unions(bs.members, reduced, scale) == unions, (g, d)
+            ends = zip(bs.members[:1] + bs.members[-1:], unions[:1] + unions[-1:])
+            for md, union in ends:
+                assert s_of_mu(g, md) == frozenset(_bits(union)), (g, md)
+            cases += 1
+        assert cases > 500
+
+
+@pytest.mark.parametrize("degree", [1.5, 2.0, True])
+def test_degree_must_be_an_integer(theta, degree):
+    # the one check where the bounds are built names the degree
+    message = re.escape(f"degree must be an integer, got {degree!r}")
+    calls = (
+        lambda: is_d_general(theta, degree),
+        lambda: is_neron_type(theta, degree, route="weakly_general"),
+        lambda: d_special_vine_scan(2, degree),
+        lambda: d_special_subcurve(theta, degree),
+        lambda: enumerate_balanced(theta, degree),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestVertexBounds:

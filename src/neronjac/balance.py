@@ -16,22 +16,18 @@ computed once per graph: one entry per bond, a connected proper subcurve
 with a connected complement, holding its vertex mask, w_Z, delta_Z, the
 edge mask of its boundary Z cap Z^c, and whether it is exempt.  The bonds
 decide balance, strictness, S(mu) and both criteria, by the lemma at
-_balance_checks.  Each entry is read by _subcurve from per-vertex sums in
-O(|Z|): the boundary is the XOR of the non-loop edges at each vertex of Z.
-m_lower_bound reads it too, and through it equality_subcurves, which
-answers over every connected Z as the definition asks.
+_balance_checks.  _subcurve computes each entry, and m_lower_bound too.
 
 Every comparison is done on integers after clearing denominators by
-2*(2g-2), in _SubcurveBounds: scale * deg_Z >= t_Z.  The kernel is the one
-balance test: enumerate_balanced asks it for a box, and is_balanced for
-the one-point box of its multidegree.  deg_Z = m_Z(d) can hold only where
-m_Z(d) = t_Z / scale is an integer, so the bonds whose threshold the scale
-divides, each with its integer bound, are listed once as the tight
-checks.  Every equality question of a verdict reads that list: the
-equality bonds, and strictness, which asks that every tight check met
-with equality be exempt.  The public bound m_Z(d) is an exact Fraction.
-The bridges the strata blow up are read off the same list: a tight check
-with delta = 1 is a side of a bridge with an integral m_Z(d).
+2*(2g-2): scale * deg_Z >= t_Z.  The kernel is the one balance test:
+enumerate_balanced asks it for a box, and is_balanced for the one-point
+box of its multidegree.  deg_Z = m_Z(d) can hold only where t_Z / scale
+is an integer; those bonds, with their integer bounds and itemgetter
+degree readers, are the tight checks of _SubcurveBounds, in mask order.
+Every equality question of a verdict reads them: the equality bonds, the
+bridges the strata blow up (a tight check with delta = 1 is a side of a
+bridge), and strictness, one pass over the surviving members per
+non-exempt check, smallest delta_Z first.
 
 d-generality reads no kernel: a stable graph is d-special iff its tight
 list is nonempty, and d_special_subcurve returns its first entry.  The
@@ -43,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from . import _kernel
 from .graphs import (
@@ -52,6 +49,14 @@ from .graphs import (
     connected_subset_masks,
     contract_separating,
 )
+
+
+def _degree(d) -> int:
+    """d as an int; any other type, bool included, is a ValueError."""
+    try:
+        return _as_int(d)
+    except TypeError:
+        raise ValueError(f"degree must be an integer, got {d!r}") from None
 
 
 def _require_genus(g: WeightedGraph) -> int:
@@ -102,6 +107,7 @@ def m_lower_bound(g: WeightedGraph, z, d: int) -> Fraction:
     """Exact lower bound m_Z(d) for the degree of the subcurve on the
     nonempty vertex set z."""
     genus = _require_genus(g)
+    d = _degree(d)
     zs = frozenset(z)
     if not zs:
         raise ValueError("subcurve must be nonempty")
@@ -164,39 +170,29 @@ def _threshold(genus: int, d: int, w: int, delta: int) -> int:
     return 2 * d * w - (2 * genus - 2) * delta
 
 
-def _mask_sum(md, mask: int) -> int:
-    acc = 0
-    v = 0
-    while mask:
-        if mask & 1:
-            acc += md[v]
-        mask >>= 1
-        v += 1
-    return acc
+def _reader(mask: int):
+    """md -> deg_Z for the subcurve on the vertices of mask, at C speed: an
+    itemgetter, summed unless Z is one vertex."""
+    get = itemgetter(*_bits(mask))
+    return get if mask.bit_count() == 1 else lambda md: sum(get(md))
 
 
 class _SubcurveBounds:
     """The cleared bounds of every bond of g at total degree d, built once
     and shared by every multidegree of that degree:
     scale * deg_Z >= threshold  <=>  deg_Z >= m_Z(d), scale = 2*(2g-2).
-    `tight` holds (check, m_Z(d)) for each bond whose m_Z(d) is an
-    integer, the only ones a multidegree can meet with equality."""
+    `tight` holds (check, m_Z(d), _reader(check.mask)) in mask order for
+    each bond whose m_Z(d) is an integer, the only ones met with equality."""
 
     __slots__ = ("checks", "degree", "thresholds", "scale", "tight")
 
     def __init__(self, g: WeightedGraph, genus: int, d: int):
-        try:
-            self.degree = d = _as_int(d)
-        except TypeError:
-            raise ValueError(f"degree must be an integer, got {d!r}") from None
+        self.degree = d = _degree(d)
         self.checks = _balance_checks(g)
         self.thresholds = [_threshold(genus, d, c.w, c.delta) for c in self.checks]
         self.scale = scale = 2 * (2 * genus - 2)
-        self.tight = [
-            (c, t // scale)
-            for c, t in zip(self.checks, self.thresholds)
-            if t % scale == 0
-        ]
+        self.tight = [(c, t // scale, _reader(c.mask))
+                      for c, t in zip(self.checks, self.thresholds) if t % scale == 0]
 
     def balanced(self, lows, highs, d: int) -> list[tuple[int, ...]]:
         """The kernel's multidegrees of total degree d in the box lows..highs
@@ -204,14 +200,17 @@ class _SubcurveBounds:
         masks = [c.mask for c in self.checks]
         return _kernel.enumerate_box(lows, highs, d, masks, self.thresholds, self.scale)
 
-    def is_strict(self, md) -> bool:
-        """A balanced md is strictly balanced iff it meets no non-exempt
-        tight check with equality."""
-        return all(c.exempt or _mask_sum(md, c.mask) != m for c, m in self.tight)
+    def strict(self, members) -> list[tuple[int, ...]]:
+        """The balanced members meeting no non-exempt tight check with equality,
+        in order: one pass per check, smallest delta_Z (removes most) first."""
+        for c, m, read in sorted(self.tight, key=lambda t: t[0].delta):
+            if not c.exempt:
+                members = [md for md in members if read(md) != m]
+        return members
 
     def equalities(self, md) -> list[_SubsetCheck]:
         """The checks of the equality bonds of md, in mask order."""
-        return [c for c, m in self.tight if _mask_sum(md, c.mask) == m]
+        return [c for c, m, read in self.tight if read(md) == m]
 
 
 def _balanced_bounds(g: WeightedGraph, multidegree):
@@ -232,18 +231,19 @@ def is_balanced(g: WeightedGraph, multidegree) -> bool:
 
 def is_strictly_balanced(g: WeightedGraph, multidegree) -> bool:
     md, bounds = _balanced_bounds(g, multidegree)
-    return bounds is not None and bounds.is_strict(md)
+    return bounds is not None and bool(bounds.strict([md]))
 
 
 def equality_subcurves(g: WeightedGraph, multidegree) -> list[frozenset[int]]:
     """Vertex sets of the connected proper subcurves Z with deg_Z = m_Z(d),
     bonds or not, ascending as bitmasks; the equality subcurves when the
     multidegree is balanced.  No verdict reads this list."""
-    _require_genus(g)
+    genus = _require_genus(g)
     md = check_multidegree(multidegree, g.n_vertices)
-    subsets = [frozenset(_bits(mask)) for mask in connected_subset_masks(g)]
-    d = sum(md)
-    return [z for z in subsets if sum(md[v] for v in z) == m_lower_bound(g, z, d)]
+    d, scale, incidence = sum(md), 2 * (2 * genus - 2), g.incidence_masks
+    subsets = ((_bits(m), _subcurve(g, m, incidence)) for m in connected_subset_masks(g))
+    return [frozenset(vs) for vs, (w, delta, _) in subsets
+            if scale * sum(md[v] for v in vs) == _threshold(genus, d, w, delta)]
 
 
 @dataclass(frozen=True)
@@ -307,7 +307,7 @@ def enumerate_balanced(g: WeightedGraph, d: int) -> BalancedSet:
     d = bounds.degree
     lows, highs = _vertex_bounds(g, genus, d)
     members = tuple(bounds.balanced(lows, highs, d))
-    strict = tuple(md for md in members if bounds.is_strict(md))
+    strict = tuple(bounds.strict(members))
     return BalancedSet(degree=d, members=members, strict_members=strict, bounds=bounds)
 
 

@@ -24,6 +24,7 @@ from .balance import (
     BalancedSet,
     _balanced_bounds,
     _bits,
+    _degree,
     _require_genus,
     enumerate_balanced,
     is_weakly_d_general,
@@ -126,6 +127,7 @@ class Stratum:
 
 def _own_set(g: WeightedGraph, d: int, balanced: BalancedSet | None) -> BalancedSet:
     """g's balanced set at degree d: the caller's, or a new enumeration."""
+    d = _degree(d)
     if balanced is not None and balanced.degree != d:
         raise ValueError(f"balanced set is for degree {balanced.degree}, not {d}")
     return enumerate_balanced(g, d) if balanced is None else balanced
@@ -161,7 +163,7 @@ def strata_index(
     _require_genus(g)
     own = _own_set(g, d, balanced)
     bridges = sorted(
-        {c.boundary.bit_length() - 1 for c, _ in own.bounds.tight if c.delta == 1}
+        {c.boundary.bit_length() - 1 for c, _, _ in own.bounds.tight if c.delta == 1}
     )
     out = []
     for size in range(len(bridges) + 1):
@@ -189,12 +191,12 @@ def _route_count(count: int, order: int) -> bool:
 
 def _route_criterion(g: WeightedGraph, balanced: BalancedSet) -> bool:
     # every equality subcurve of every balanced multidegree must have its
-    # boundary inside the bridge set
+    # boundary inside the bridges: no member meets a tight check leaving them
     bridges = sum(1 << i for i in separating_edges(g))
-    return all(
-        not c.boundary & ~bridges
-        for md in balanced.members
-        for c in balanced.bounds.equalities(md)
+    return not any(
+        m in map(read, balanced.members)
+        for c, m, read in balanced.bounds.tight
+        if c.boundary & ~bridges
     )
 
 

@@ -12,6 +12,8 @@ relabeling.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import ceil
+from operator import itemgetter
 
 
 def all_subsets(n):
@@ -91,19 +93,29 @@ def fractional_bridges(weights, edges, d):
 
 def brute_force_balanced(weights, edges, exceptional, d, box):
     """Balanced / strictly balanced multidegrees of total degree d inside an
-    explicit per-vertex search box (list of (lo, hi) inclusive)."""
+    explicit per-vertex search box (list of (lo, hi) inclusive), in
+    lexicographic order.
+
+    Each proper subset's bound m_Z(d) is a Fraction, computed once: an
+    integer deg_Z meets deg_Z >= m_Z(d) iff deg_Z >= ceil(m_Z(d)), and
+    equality is possible only when m_Z(d) is an integer."""
     n = len(weights)
     genus = sum(weights) + len(edges) - n + 1
     assert genus >= 2
     two_g_minus_2 = 2 * genus - 2
     exceptional = set(exceptional)
     subsets = [zs for zs in all_subsets(n) if len(zs) < n]
-    stats = {}
+    stats = []
     for zs in subsets:
         w, delta = subcurve_w_delta(weights, edges, zs)
         boundary = [(u, v) for u, v in edges if (u in zs) != (v in zs)]
         exempt = all(u in exceptional or v in exceptional for u, v in boundary)
-        stats[zs] = (w, delta, exempt)
+        bound = Fraction(d * w, two_g_minus_2) - Fraction(delta, 2)
+        lo = ceil(bound)
+        # the entries of md on zs as a tuple (a slice for a single vertex)
+        vs = sorted(zs)
+        entries = itemgetter(*vs) if len(vs) > 1 else itemgetter(slice(vs[0], vs[0] + 1))
+        stats.append((entries, lo, lo == bound and not exempt))
 
     balanced, strict = [], []
     for md in product(*(range(lo, hi + 1) for lo, hi in box)):
@@ -113,13 +125,12 @@ def brute_force_balanced(weights, edges, exceptional, d, box):
             continue
         ok = True
         strictly = True
-        for zs, (w, delta, exempt) in stats.items():
-            bound = Fraction(d * w, two_g_minus_2) - Fraction(delta, 2)
-            deg = sum(md[v] for v in zs)
-            if deg < bound:
+        for entries, lo, can_meet in stats:
+            deg = sum(entries(md))
+            if deg < lo:
                 ok = False
                 break
-            if deg == bound and not exempt:
+            if deg == lo and can_meet:
                 strictly = False
         if ok:
             balanced.append(md)

@@ -219,6 +219,76 @@ class TestEnumerateBalanced:
                 assert enumerate_balanced(g, d).strict_members == tuple(want)
 
 
+def _pool_blow_ups_g_minus_one():
+    """(g, d = g - 1 = 5): the analyze-g6 pool graphs with their blow-ups
+    at every subset of the bridges, each side of which has the integral
+    m_Z(g - 1) = g_Z - 1."""
+    for weights, edges in analyze_pool():
+        g = WeightedGraph(weights, edges)
+        d = g.genus - 1
+        assert d == 5 and fractional_bridges(weights, edges, d) == []
+        bridges = sorted(separating_edges(g))
+        for size in range(len(bridges) + 1):
+            for subset in itertools.combinations(bridges, size):
+                yield blow_up(g, subset), d
+
+
+class TestStrictFilter:
+    """The strict filter runs the non-exempt tight checks smallest delta_Z
+    first; the order must change neither its answer nor any list read in
+    mask order."""
+
+    def test_pool_at_g_minus_one(self):
+        sets = strict = 0
+        for g, d in _pool_blow_ups_g_minus_one():
+            genus, checks = g.genus, _balance_checks(g)
+            # the oracle searches the per-vertex box, which TestVertexBounds
+            # checks against the Fraction bounds
+            lows, highs = _vertex_bounds(g, genus, d)
+            bs = enumerate_balanced(g, d)
+            want_b, want_s = brute_force_balanced(
+                list(g.weights), list(g.edges), set(g.exceptional), d,
+                list(zip(lows, highs)),
+            )
+            assert bs.members == tuple(want_b), g
+            assert bs.strict_members == tuple(want_s), g
+            raised = [_threshold(genus, d, c.w, c.delta) + (not c.exempt) for c in checks]
+            masks = [c.mask for c in checks]
+            scale = 2 * (2 * genus - 2)
+            want = _kernel_py.enumerate_box(lows, highs, d, masks, raised, scale)
+            assert bs.strict_members == tuple(want), g
+            sets += 1
+            strict += bs.strict_size
+        assert (sets, strict) == (47, 89)
+
+    def test_tight_lists_keep_mask_order(self):
+        sets = resorted = 0
+        for g, d in _pool_blow_ups_g_minus_one():
+            bs = enumerate_balanced(g, d)
+            bounds, scale = bs.bounds, bs.bounds.scale
+            want = [
+                (c.mask, t // scale)
+                for c, t in zip(bounds.checks, bounds.thresholds)
+                if t % scale == 0
+            ]
+            assert [(c.mask, m) for c, m, _ in bounds.tight] == want
+            assert want == sorted(want)
+            deltas = [c.delta for c, _, _ in bounds.tight]
+            resorted += deltas != sorted(deltas)
+            for md in bs.members[::7]:  # every seventh member keeps it short
+                got = [c.mask for c in bounds.equalities(md)]
+                met = [
+                    mask for mask, m in want
+                    if sum(md[v] for v in _bits(mask)) == m
+                ]
+                assert got == met, (g, md)
+            if g.is_stable:
+                assert d_special_subcurve(g, d) == frozenset(_bits(want[0][0]))
+            sets += 1
+        # the delta order differs from mask order on every one of these tables
+        assert (sets, resorted) == (47, 47)
+
+
 def _bound_cases():
     """Census graphs, their blow-ups at every bridge and at every edge, and
     one-vertex graphs."""
@@ -334,6 +404,12 @@ def test_degree_must_be_an_integer(theta, degree):
         lambda: d_special_vine_scan(2, degree),
         lambda: d_special_subcurve(theta, degree),
         lambda: enumerate_balanced(theta, degree),
+        lambda: m_lower_bound(theta, {0}, degree),
+        # a caller's set of degree 1 does not let the degree through
+        lambda: is_neron_type(
+            theta, degree, route="count", balanced=enumerate_balanced(theta, 1)
+        ),
+        lambda: strata_index(theta, degree, balanced=enumerate_balanced(theta, 1)),
     )
     for call in calls:
         with pytest.raises(ValueError, match=message):

@@ -237,6 +237,30 @@ class TestNeronType:
             for d in range(-genus, 2 * genus + 1):
                 is_neron_type(g, d, route="all")  # RouteDisagreement is fatal
 
+    def test_criterion_reads_each_check_leaving_the_bridges(self, theta_pendant):
+        # the route asks, of each tight check whose boundary holds a
+        # non-bridge edge, whether some member meets it.  A bond's boundary
+        # never mixes a bridge with other edges, so checks that do are put
+        # in the table here to pin the rule down.
+        from operator import itemgetter
+
+        from neronjac.balance import _SubcurveBounds, _SubsetCheck
+        from neronjac.neron import _route_criterion
+
+        own = enumerate_balanced(theta_pendant, 2)
+        bridge = 1 << 3
+        assert separating_edges(theta_pendant) == {3}
+        # members[0] is lexicographically first: no member reads met - 1
+        read = itemgetter(0)
+        met = read(own.members[0])
+        for boundary, want in ((bridge, True), (bridge | 1, False), (0b11, False)):
+            check = _SubsetCheck(1, 0, boundary.bit_count(), boundary, False)
+            for m, verdict in ((met, want), (met - 1, True)):
+                bounds = _SubcurveBounds(theta_pendant, 3, 2)
+                bounds.tight = [(check, m, read)]
+                table = dataclasses.replace(own, bounds=bounds)
+                assert _route_criterion(theta_pendant, table) is verdict, (boundary, m)
+
     def test_general_implies_neron(self, theta, dumbbell):
         for g in (theta, dumbbell):
             for d in range(-3, 5):

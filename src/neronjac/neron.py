@@ -1,18 +1,18 @@
 """Strata of the compactified Jacobian and the Neron-type verdict.
 
 The irreducible components are indexed by pairs (S, d) with S a set of
-bridges and d strictly balanced on the blow-up at S.  The strata skip every
-S that holds a bridge whose side has a fractional m_Z(d): the blow-up at
-such an S has no balanced multidegree (see strata_index).  The bridges
-they keep are the boundary edges of the tight checks with delta = 1 in g's
-balanced set, so the strata do no bound arithmetic of their own.  The
-verdict is computed by three independent routes (component count vs
-class-group order, the boundary criterion on equality subcurves, and weak
-d-generality of the bridge contraction); they must agree, and a
-disagreement or a uniqueness failure in the extremal-pair search raises a
-hard error rather than being returned as data.  The weakly-general route
-reads the integrality criterion of balance.d_special_subcurve and calls no
-kernel.
+bridges and d strictly balanced on the blow-up at S.  Only one S carries
+strata: the set of all bridges whose side has an integral m_Z(d), empty
+when there are none (see strata_index), so a verdict makes at most one
+blow-up.  Those bridges are the boundary edges of the tight checks with
+delta = 1 in g's balanced set, so the strata do no bound arithmetic of
+their own.  The verdict is computed by three independent routes
+(component count vs class-group order, the boundary criterion on
+equality subcurves, and weak d-generality of the bridge contraction);
+they must agree, and a disagreement or a uniqueness failure in the
+extremal-pair search raises a hard error rather than being returned as
+data.  The weakly-general route reads the integrality criterion of
+balance.d_special_subcurve and calls no kernel.
 """
 
 from __future__ import annotations
@@ -138,40 +138,47 @@ def strata_index(
 ) -> list[Stratum]:
     """All pairs (S, d) with S a subset of bridges and d strictly balanced
     on blow_up(g, S); ordered by (len(S), S, multidegree).  `balanced`, if
-    given, is enumerate_balanced(g, d), read for the empty S.
+    given, is enumerate_balanced(g, d): B below is read off it, and so are
+    the strata when B is empty.
 
-    Only subsets of the bridges whose side Z has an integral m_Z(d) are
-    blown up; the two sides of a bridge have m_Z(d) + m_Y(d) = d - 1, so
-    either side decides.  The blow-up at an S holding any other bridge has
-    no balanced multidegree, by Caporaso's basic inequality (cited at
-    balance.d_special_subcurve).  Let e in S be a bridge with sides Z and
-    Y.  On the blow-up at S, let Z' and Y' be Z and Y together with the
-    exceptional vertices of S that lie inside them.  Both are connected
-    proper subcurves with delta = 1, so m_Z'(d) + m_Y'(d) = d - 1.  The
-    exceptional vertex of e carries degree 1, so deg Z' + deg Y' = d - 1.
-    Balance gives deg Z' >= m_Z'(d) and deg Y' >= m_Y'(d).  Hence
-    deg Z' = m_Z'(d) = m_Z(d), and that must be an integer.
+    Only S = B, the set of the bridges whose side Z has an integral
+    m_Z(d), carries strata, so B is the one set blown up; the two sides of
+    a bridge have m_Z(d) + m_Y(d) = d - 1, so either side decides.  Both
+    halves follow from Caporaso's basic inequality (cited at
+    balance.d_special_subcurve).
 
-    Those bridges are read off the tight checks of g's balanced set, the
-    bonds (connected Z with Z^c connected) with an integral m_Z(d).  A
-    bond with delta_Z = 1 is a side of a bridge, its one boundary edge,
-    and each side of a bridge is such a bond.  So the bridges to blow up
-    are the boundary edges of the tight checks with delta = 1.
+    An S holding a bridge outside B has no balanced multidegree.  Let e in
+    S be a bridge with sides Z and Y.  On the blow-up at S, let Z' and Y'
+    be Z and Y together with the exceptional vertices of S that lie inside
+    them.  Both are connected proper subcurves with delta = 1, so
+    m_Z'(d) + m_Y'(d) = d - 1.  The exceptional vertex of e carries degree
+    1, so deg Z' + deg Y' = d - 1.  Balance gives deg Z' >= m_Z'(d) and
+    deg Y' >= m_Y'(d).  Hence deg Z' = m_Z'(d) = m_Z(d), and that must be
+    an integer.
+
+    An S inside B that misses some e in B has no strict member.  The
+    bridge e is still a bridge of the blow-up at S; let Z' and Y' be its
+    sides there.  Exceptional vertices add 0 to w, so m_Z'(d) = m_Z(d) is
+    an integer and m_Z'(d) + m_Y'(d) = d - 1, while deg Z' + deg Y' = d.
+    Balance then forces deg Z' to be m_Z'(d) or m_Z'(d) + 1, so Z' or Y'
+    meets its bound with equality.  Both ends of e are original vertices,
+    so neither side is exempt, and no balanced multidegree is strict.
+
+    B is read off the tight checks of g's balanced set, the bonds
+    (connected Z with Z^c connected) with an integral m_Z(d).  A bond
+    with delta_Z = 1 is a side of a bridge, its one boundary edge, and
+    each side of a bridge is such a bond.  So B is the set of boundary
+    edges of the tight checks with delta = 1.
     """
     if not g.is_stable:
         raise ValueError("strata are defined for stable graphs")
     _require_genus(g)
     own = _own_set(g, d, balanced)
-    bridges = sorted(
+    bridges = tuple(sorted(
         {c.boundary.bit_length() - 1 for c, _, _ in own.bounds.tight if c.delta == 1}
-    )
-    out = []
-    for size in range(len(bridges) + 1):
-        for subset in itertools.combinations(bridges, size):
-            bs = enumerate_balanced(blow_up(g, subset), d) if subset else own
-            for md in bs.strict_members:
-                out.append(Stratum(edges=subset, multidegree=md))
-    return out
+    ))
+    bs = enumerate_balanced(blow_up(g, bridges), d) if bridges else own
+    return [Stratum(edges=bridges, multidegree=md) for md in bs.strict_members]
 
 
 def component_count(

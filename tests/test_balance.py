@@ -525,7 +525,8 @@ class TestBalancedSets:
         own = counted(blow_up(theta, ()), 1)
         is_neron_type(theta, 1, balanced=own)
         assert calls == [theta]
-        # one enumeration per blow-up at a bridge subset, none repeated
+        # one enumeration of g, then one of the blow-up at its bridges whose
+        # side has an integral m_Z(d), none repeated
         calls.clear()
         is_neron_type(theta_pendant, 2)
         assert calls == [theta_pendant, blow_up(theta_pendant, (3,))]

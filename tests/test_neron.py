@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,9 @@ from neronjac import (
     strata_index,
 )
 from oracles import brute_force_balanced, fractional_bridges
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import analyze_pool  # noqa: E402
 
 
 class TestSOfMu:
@@ -126,18 +131,19 @@ class TestStrataIndex:
     @pytest.mark.parametrize("genus,mv", [(2, 2), (3, 3)])
     def test_matches_extremal_pairs(self, genus, mv):
         # the extremal pairs whose locus consists of bridges are exactly the
-        # indexed strata
-        from neronjac import separating_edges
-
+        # indexed strata, and every locus holds exactly the bridges whose
+        # side has an integral m_Z(d)
         for g in census(genus, mv):
             bridges = separating_edges(g)
             for d in (genus - 1, genus):
+                integral = bridges.difference(fractional_bridges(g.weights, g.edges, d))
                 strata = {
                     (s.edges, s.multidegree) for s in strata_index(g, d)
                 }
                 reached = set()
                 for md in enumerate_balanced(g, d).members:
                     ep = extremal_pair(g, md)
+                    assert set(ep.s_mu) & bridges == integral, (g, md)
                     if ep.s_mu <= bridges:
                         reached.add((tuple(sorted(ep.s_mu)), ep.d_mu))
                 assert reached == strata
@@ -158,20 +164,22 @@ def _bridged_census():
                         yield g, subset, d
 
 
+def _balanced_sets(hat, d):
+    """(members, strict members) of hat at degree d: by brute force at
+    genus 2, through enumerate_balanced above it."""
+    if hat.genus == 2:
+        box = [(-2 * hat.genus, 3 * hat.genus)] * hat.n_vertices
+        return brute_force_balanced(
+            list(hat.weights), list(hat.edges), set(hat.exceptional), d, box
+        )
+    bs = enumerate_balanced(hat, d)
+    return bs.members, bs.strict_members
+
+
 class TestFractionalBridges:
     """A blow-up at a set of bridges holding one whose side has a
     fractional m_Z(d) has no balanced multidegree, and strata_index skips
     exactly those sets."""
-
-    @staticmethod
-    def _balanced(hat, d):
-        if hat.genus == 2:
-            box = [(-2 * hat.genus, 3 * hat.genus)] * hat.n_vertices
-            members, _ = brute_force_balanced(
-                list(hat.weights), list(hat.edges), set(hat.exceptional), d, box
-            )
-            return members
-        return enumerate_balanced(hat, d).members
 
     def test_flagged_exactly_when_empty(self):
         flagged = 0
@@ -179,7 +187,7 @@ class TestFractionalBridges:
             if not subset:
                 continue
             fractional = set(fractional_bridges(g.weights, g.edges, d))
-            empty = not self._balanced(blow_up(g, subset), d)
+            empty = not _balanced_sets(blow_up(g, subset), d)[0]
             assert empty == bool(fractional & set(subset)), (g, subset, d)
             flagged += empty
         assert flagged  # the lemma is exercised
@@ -193,6 +201,38 @@ class TestFractionalBridges:
             )
         for (g, d), count in strict.items():
             assert component_count(g, d) == count, (g, d)
+
+
+class TestIntegralBridges:
+    """A blow-up at a set of bridges that misses one whose side has an
+    integral m_Z(d) has no strictly balanced multidegree: that bridge's
+    sides have m_Z(d) + m_Y(d) = d - 1, so one of them meets its bound with
+    equality.  Only the blow-up at all of those bridges carries strata."""
+
+    @staticmethod
+    def _proper_subsets():
+        """(g, S, d): the sets S of _bridged_census strictly inside the
+        bridges whose side has an integral m_Z(d), then those of the
+        analyze-g6 pool at d = g - 1 = 5, where every bridge's side has
+        one."""
+        for g, subset, d in _bridged_census():
+            fractional = fractional_bridges(g.weights, g.edges, d)
+            if set(subset) < separating_edges(g).difference(fractional):
+                yield g, subset, d
+        for weights, edges in analyze_pool():
+            g = WeightedGraph(weights, edges)
+            bridges = sorted(separating_edges(g))
+            for size in range(len(bridges)):
+                for subset in itertools.combinations(bridges, size):
+                    yield g, subset, 5
+
+    def test_proper_subsets_have_no_strict_member(self):
+        blown = 0
+        for g, subset, d in self._proper_subsets():
+            hat = blow_up(g, subset) if subset else g
+            assert not _balanced_sets(hat, d)[1], (g, subset, d)
+            blown += bool(subset)
+        assert blown  # the lemma is exercised past the empty set
 
 
 class TestNeronType:
@@ -289,16 +329,11 @@ class TestGMinusOne:
 class TestSharedEnumeration:
     @staticmethod
     def _blow_ups(g, d):
-        # the graphs one verdict enumerates: g itself, then the blow-ups at
-        # every nonempty subset of the bridges whose side has an integral
-        # m_Z(d)
+        # the graphs one verdict enumerates: g itself, then the blow-up at
+        # all the bridges whose side has an integral m_Z(d), if it has any
         fractional = fractional_bridges(g.weights, g.edges, d)
         integral = [i for i in sorted(separating_edges(g)) if i not in fractional]
-        return [
-            blow_up(g, subset)
-            for size in range(len(integral) + 1)
-            for subset in itertools.combinations(integral, size)
-        ]
+        return [g, blow_up(g, integral)] if integral else [g]
 
     @staticmethod
     def _count(monkeypatch):
@@ -389,11 +424,13 @@ class TestSharedEnumeration:
         calls, _ = self._count(monkeypatch)
         assert is_neron_type(theta_pendant, 2, balanced=own) == want
         assert [h for h, _ in calls] == self._blow_ups(theta_pendant, 2)[1:]
-        # a set with no strict members drops the empty-S strata
+        # a set with no strict members drops the empty-S strata; at d = 3
+        # the bridge's side has a fractional m_Z(d), so they are all of them
+        own = enumerate_balanced(theta_pendant, 3)
+        assert own.strict_size == component_count(theta_pendant, 3) == 3
         hollow = dataclasses.replace(own, strict_members=())
-        count = component_count(theta_pendant, 2, balanced=hollow)
-        assert count == want.component_count - own.strict_size
-        assert len(strata_index(theta_pendant, 2, balanced=hollow)) == count
+        assert component_count(theta_pendant, 3, balanced=hollow) == 0
+        assert strata_index(theta_pendant, 3, balanced=hollow) == []
 
     def test_criterion_reads_the_sets_bounds(self, theta, theta_pendant, monkeypatch):
         # the cleared bounds of (g, d) are built once, by g's enumeration;
